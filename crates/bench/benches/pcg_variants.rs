@@ -117,7 +117,7 @@ fn bench_spmd(results: &mut Vec<BenchResult>, a: usize, m: usize, threads: usize
             max_iterations: 100_000,
             variant,
             // Pin the exact schedule: the counter assertions below must
-            // not absorb audit phases from environment overrides.
+            // not absorb audit phases.
             recovery: mspcg_core::RecoveryPolicy::off(),
         };
         let group = format!("spmd_variant_plate{a}_m{m}_t{threads}");

@@ -26,7 +26,7 @@
 //!   preconditioner** on the Lanczos-estimated spectrum of the
 //!   Jacobi-scaled operator: `k` SpMVs per application, zero color-sweep
 //!   synchronization, with the [`poly::AutoPreconditioner`] selector
-//!   (`MSPCG_PRECOND`) choosing between it and the m-step SSOR,
+//!   choosing between it and the m-step SSOR,
 //! * [`coeffs`] — least-squares and min-max α coefficients
 //!   (Johnson–Micchelli–Paul parametrization, §2.2, Table 1),
 //! * [`quadrature`] — Gauss–Legendre rules used by the least-squares fit,

@@ -12,7 +12,7 @@
 //!   the multicolor SSOR's internal mutex-guarded half-sum cache, so
 //!   concurrent applications never serialize on a lock).
 //! * **Two parallel regimes** — a *large* matrix (at or above
-//!   [`tuning::par_min_nnz`] stored entries) keeps the right-hand sides
+//!   [`tuning::PAR_MIN_NNZ`] stored entries) keeps the right-hand sides
 //!   sequential and lets every kernel inside the solve fan out across the
 //!   worker pool (kernel-level parallelism); a *small* matrix runs whole
 //!   right-hand sides on different workers (RHS-level parallelism), whose
@@ -232,8 +232,8 @@ impl BatchPtrs {
 /// let sum = pcg_solve_multi(&k, &f, &mut u, &m, &PcgOptions::default(), &mut ws)?;
 /// assert_eq!(sum.converged, 2);
 /// // Recovered/Replaced also satisfy the stopping test — check the
-/// // status class, not the exact variant (a forced recurrence schedule
-/// // may rescue itself on a tiny system).
+/// // status class, not the exact variant (a communication-avoiding
+/// // schedule may rescue itself on a tiny system).
 /// assert!(ws.outcomes().iter().all(|o| o.status.is_converged()));
 /// # Ok::<(), mspcg_sparse::SparseError>(())
 /// ```
@@ -243,9 +243,10 @@ impl BatchPtrs {
 /// [`SparseError::ShapeMismatch`] when `f.len()` is not a multiple of `n`,
 /// `u.len() != f.len()`, or the preconditioner dimension differs.
 /// [`SparseError::InvalidTolerance`] for a nonpositive or non-finite
-/// tolerance, and [`SparseError::NonFinite`] when any right-hand side or
-/// initial guess carries a NaN/Inf entry — both rejected up front, before
-/// any lane starts iterating.
+/// tolerance, [`SparseError::InvalidPartition`] for an out-of-range
+/// s-step block width, and [`SparseError::NonFinite`] when any
+/// right-hand side or initial guess carries a NaN/Inf entry — all
+/// rejected up front, before any lane starts iterating.
 pub fn pcg_solve_multi<A: SparseOp>(
     k: &A,
     f: &[f64],
@@ -285,6 +286,7 @@ pub fn pcg_solve_multi<A: SparseOp>(
     if !(opts.tol.is_finite() && opts.tol > 0.0) {
         return Err(SparseError::InvalidTolerance { value: opts.tol });
     }
+    opts.variant.resolve()?;
     if f.iter().any(|v| !v.is_finite()) {
         return Err(SparseError::NonFinite {
             phase: "rhs",
@@ -303,7 +305,7 @@ pub fn pcg_solve_multi<A: SparseOp>(
     // that threshold a whole solve is far cheaper than a pool launch per
     // kernel, so distinct right-hand sides become the unit of parallel
     // work instead.
-    let rhs_threads = if k.nnz() >= tuning::par_min_nnz() {
+    let rhs_threads = if k.nnz() >= tuning::PAR_MIN_NNZ {
         1
     } else {
         par::max_threads().min(nrhs)

@@ -37,8 +37,7 @@
 //! (`(p, s) ≤ 0` or a nonpositive reconstructed denominator) the solve
 //! **falls back to the classic loop from the current iterate** instead of
 //! erroring (recorded in [`PcgStats::fallbacks`]). Selection:
-//! [`PcgOptions::variant`], with the validated `MSPCG_PCG_VARIANT`
-//! environment override resolving [`PcgVariant::Auto`].
+//! [`PcgOptions::variant`] ([`PcgVariant::Auto`] resolves to classic).
 //!
 //! [`PcgVariant::Pipelined`] goes one synchronization step further
 //! (Ghysels–Vanroose): two extra recurrence carries (`q = M⁻¹s`, `K·q`)
@@ -99,12 +98,12 @@ pub struct PcgOptions {
     /// [`PcgSolution::history`].
     pub record_history: bool,
     /// Which iteration variant to run. [`PcgVariant::Auto`] (the default)
-    /// resolves the validated `MSPCG_PCG_VARIANT` environment override and
-    /// falls back to [`PcgVariant::Classic`].
+    /// resolves to [`PcgVariant::Classic`]; an [`PcgVariant::SStep`] width
+    /// outside `2 ..= MAX_SSTEP_S` is rejected with
+    /// [`SparseError::InvalidPartition`] (see [`PcgVariant::resolve`]).
     pub variant: PcgVariant,
-    /// Detection/recovery policy: residual auditing with replacement, the
-    /// recovery-ladder budget, and the `MSPCG_RESIDUAL_REPLACEMENT` /
-    /// `MSPCG_AUDIT_PERIOD` override resolution. The default
+    /// Detection/recovery policy: residual auditing with replacement and
+    /// the recovery-ladder budget. The default
     /// ([`crate::recovery::Toggle::Auto`]) audits only the drift-prone
     /// variants at tight tolerances; [`RecoveryPolicy::off`] pins the
     /// exact pre-recovery arithmetic and operation schedule.
@@ -222,8 +221,8 @@ pub struct PcgWorkspace {
     p: Vec<f64>,
     kp: Vec<f64>,
     /// `w = Kz` carry of the single-reduction variant (allocated up front
-    /// so variant selection — including the env override — can never
-    /// reintroduce a per-solve allocation).
+    /// so variant selection can never reintroduce a per-solve
+    /// allocation).
     w: Vec<f64>,
     /// `q = M⁻¹s` direction carry of the pipelined variant. The four
     /// pipelined-only slots start **empty** (a classic or
@@ -386,6 +385,8 @@ impl PcgWorkspace {
 ///   violations,
 /// * [`SparseError::NotPositiveDefinite`] on inner-product breakdown
 ///   (indefinite `K` or preconditioner),
+/// * [`SparseError::InvalidPartition`] for an out-of-range
+///   [`PcgVariant::SStep`] block width,
 /// * [`SparseError::DidNotConverge`] when the budget is exhausted.
 pub fn pcg_solve<A: SparseOp>(
     k: &A,
@@ -487,7 +488,7 @@ pub fn pcg_solve_into<A: SparseOp>(
 /// the iterations already spent against the same budget.
 ///
 /// # Errors
-/// Shape violations and inner-product breakdowns only.
+/// Shape violations, invalid options and inner-product breakdowns only.
 pub fn pcg_try_solve_into<A: SparseOp>(
     k: &A,
     f: &[f64],
@@ -512,6 +513,7 @@ pub fn pcg_try_solve_into<A: SparseOp>(
     if !(opts.tol.is_finite() && opts.tol > 0.0) {
         return Err(SparseError::InvalidTolerance { value: opts.tol });
     }
+    let resolved = opts.variant.resolve()?;
     // Reject non-finite inputs up front: a NaN anywhere in `f` or `u⁰`
     // poisons every subsequent reduction, so without this check the solve
     // would iterate on garbage until the budget runs out.
@@ -556,7 +558,6 @@ pub fn pcg_try_solve_into<A: SparseOp>(
     // variant and the tolerance, so ladder reruns — including the classic
     // bottom rung — inherit the same auditing the drift-prone variant
     // opted into.
-    let resolved = opts.variant.resolve();
     let audit = AuditPlan::resolve(&opts.recovery, resolved, opts.tol, f_norm);
     if audit.enabled {
         ws.ensure_audit(n);
@@ -2096,9 +2097,8 @@ mod tests {
             max_iterations: 1,
             criterion: StoppingCriterion::RelativeResidual,
             // Pinned classic: the premise needs the first iteration to
-            // actually run, and a forced `sstep:S` block cannot fit a
-            // 1-iteration budget (the s-step budget exit has its own
-            // dedicated test).
+            // actually run, and an s-step block cannot fit a 1-iteration
+            // budget (the s-step budget exit has its own dedicated test).
             variant: PcgVariant::Classic,
             ..Default::default()
         };
@@ -2126,20 +2126,29 @@ mod tests {
     fn budget_exhaustion_is_reported() {
         let a = laplacian(50);
         let b = vec![1.0; 50];
-        let opts = PcgOptions {
-            tol: 1e-14,
-            max_iterations: 2,
-            ..Default::default()
-        };
-        // Deliberately not pinned: exhaustion must surface under every
-        // ambient variant. The count is granular — the s-step schedule
-        // runs whole `s`-blocks, so a forced `sstep:S` with `S > 2`
-        // exhausts this budget at 0 iterations.
-        match cg_solve(&a, &b, &opts) {
-            Err(SparseError::DidNotConverge { iterations, .. }) => {
-                assert!(iterations <= 2, "budget overrun: {iterations}");
+        // Exhaustion must surface under every variant. The count is
+        // granular — the s-step schedule runs whole `s`-blocks, so
+        // `SStep { s: 4 }` exhausts this budget at 0 iterations.
+        for variant in [
+            PcgVariant::Auto,
+            PcgVariant::Classic,
+            PcgVariant::SingleReduction,
+            PcgVariant::Pipelined,
+            PcgVariant::SStep { s: 2 },
+            PcgVariant::SStep { s: 4 },
+        ] {
+            let opts = PcgOptions {
+                tol: 1e-14,
+                max_iterations: 2,
+                variant,
+                ..Default::default()
+            };
+            match cg_solve(&a, &b, &opts) {
+                Err(SparseError::DidNotConverge { iterations, .. }) => {
+                    assert!(iterations <= 2, "{variant:?}: budget overrun: {iterations}");
+                }
+                other => panic!("{variant:?}: expected DidNotConverge, got {other:?}"),
             }
-            other => panic!("expected DidNotConverge, got {other:?}"),
         }
     }
 
@@ -2147,8 +2156,7 @@ mod tests {
     fn stats_count_two_inner_products_per_iteration() {
         let a = laplacian(16);
         let b = vec![1.0; 16];
-        // Pinned classic: the count below is the classic loop's signature
-        // (the env override must not redirect this assertion).
+        // Pinned classic: the count below is the classic loop's signature.
         let opts = PcgOptions {
             variant: PcgVariant::Classic,
             ..Default::default()
@@ -2996,8 +3004,7 @@ mod tests {
             tol: 1e-10,
             criterion: StoppingCriterion::RelativeResidual,
             variant: PcgVariant::Classic,
-            // Pin the exact counters below against environment overrides
-            // (MSPCG_RESIDUAL_REPLACEMENT=1 would add audits).
+            // Pin the exact counters below: no audits.
             recovery: crate::recovery::RecoveryPolicy::off(),
             ..Default::default()
         };

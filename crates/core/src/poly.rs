@@ -46,7 +46,7 @@
 use crate::mstep::MStepSsorPreconditioner;
 use crate::preconditioner::Preconditioner;
 use mspcg_sparse::lanczos::{lanczos_extremes, SpectralInterval};
-use mspcg_sparse::tuning::{forced_precond, PolyKind, PrecondKind};
+use mspcg_sparse::tuning::{PolyKind, PrecondKind};
 use mspcg_sparse::{vecops, CsrMatrix, Partition, SparseError, SparseOp};
 use std::sync::Mutex;
 
@@ -430,8 +430,7 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
 
 /// The Auto-resolved serial preconditioner: either the paper's m-step
 /// multicolor SSOR or the barrier-free polynomial, behind one type so
-/// callers can let [`PrecondKind::resolve`] (and its validated
-/// `MSPCG_PRECOND` override) choose per matrix.
+/// callers can let [`PrecondKind::resolve`] choose per matrix.
 pub enum AutoPreconditioner<A: SparseOp = CsrMatrix> {
     /// The paper's m-step multicolor SSOR.
     MStepSsor(MStepSsorPreconditioner),
@@ -498,8 +497,8 @@ impl<A: SparseOp> Preconditioner for AutoPreconditioner<A> {
     }
 }
 
-/// Resolve `selection` against the `MSPCG_PRECOND` override and the
-/// barrier-cost heuristic ([`PrecondKind::resolve`] with
+/// Resolve `selection` by the barrier-cost heuristic
+/// ([`PrecondKind::resolve`] with
 /// `colors.num_blocks()` and `m_default`) and build the chosen serial
 /// preconditioner over `a`.
 ///
@@ -511,11 +510,11 @@ pub fn auto_preconditioner<A: SparseOp + Clone>(
     m_default: usize,
     selection: PrecondKind,
 ) -> Result<AutoPreconditioner<A>, SparseError> {
-    // The barrier-cost heuristic (as opposed to a caller or `MSPCG_PRECOND`
-    // pin) assumes the Lanczos estimate will produce a usable interval; on
-    // a degenerate spectrum that assumption fails and the heuristic choice
-    // must be revisited below.
-    let heuristic = selection == PrecondKind::Auto && forced_precond().is_none();
+    // The barrier-cost heuristic (as opposed to a caller's pin) assumes
+    // the Lanczos estimate will produce a usable interval; on a degenerate
+    // spectrum that assumption fails and the heuristic choice must be
+    // revisited below.
+    let heuristic = selection == PrecondKind::Auto;
     match selection.resolve(colors.num_blocks(), m_default) {
         PrecondKind::Auto => unreachable!("resolve never returns Auto"),
         PrecondKind::MStepSsor { m } => Ok(AutoPreconditioner::MStepSsor(
@@ -777,7 +776,7 @@ mod tests {
             .unwrap()
             .ordering();
         let (pa, colors) = (ord.permute_matrix(&a).unwrap(), ord.partition);
-        // A pinned selection bypasses the env override entirely.
+        // A pinned selection bypasses the heuristic entirely.
         let pinned = auto_preconditioner(
             &pa,
             &colors,
@@ -823,18 +822,16 @@ mod tests {
             .unwrap()
             .ordering();
         let (pa, colors) = (ord.permute_matrix(&a).unwrap(), ord.partition);
-        if forced_precond().is_none() {
-            // Sanity: the heuristic alone WOULD pick the polynomial here.
-            assert_eq!(
-                PrecondKind::Auto.resolve(colors.num_blocks(), 2),
-                PrecondKind::Poly {
-                    kind: PolyKind::Chebyshev,
-                    degree: 4
-                }
-            );
-            let auto = auto_preconditioner(&pa, &colors, 2, PrecondKind::Auto).unwrap();
-            assert_eq!(auto.selected(), PrecondKind::MStepSsor { m: 2 });
-        }
+        // Sanity: the heuristic alone WOULD pick the polynomial here.
+        assert_eq!(
+            PrecondKind::Auto.resolve(colors.num_blocks(), 2),
+            PrecondKind::Poly {
+                kind: PolyKind::Chebyshev,
+                degree: 4
+            }
+        );
+        let auto = auto_preconditioner(&pa, &colors, 2, PrecondKind::Auto).unwrap();
+        assert_eq!(auto.selected(), PrecondKind::MStepSsor { m: 2 });
         // A *pinned* polynomial stays pinned on the same spectrum: the
         // schedule handles the degenerate interval (Richardson fallback),
         // so the pin is honored rather than second-guessed.

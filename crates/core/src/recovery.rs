@@ -19,9 +19,9 @@
 //!    the recurrence residual, and on divergence beyond
 //!    [`replacement_bound`] replaces the carried vectors from the true
 //!    residual and re-derives the CG scalars (van der Vorst/Ye-style
-//!    residual replacement). Enabled by policy: explicitly, through the
-//!    validated `MSPCG_RESIDUAL_REPLACEMENT` override, or automatically
-//!    for the drift-prone variants at tight tolerances ([`TIGHT_TOL`]).
+//!    residual replacement). Enabled by policy: explicitly, or
+//!    automatically for the drift-prone variants at tight tolerances
+//!    ([`TIGHT_TOL`]).
 //! 3. **Recovery ladder** — instead of the old single classic-fallback
 //!    shot, breakdown and detected corruption step down
 //!    Pipelined → SingleReduction → Classic, each rung re-deriving its
@@ -52,12 +52,11 @@ pub const TIGHT_TOL: f64 = 1e-11;
 pub const DEFAULT_MAX_REPLACEMENTS: usize = 32;
 
 /// Three-state switch following the `PcgVariant::Auto` convention: the
-/// explicit states win, `Auto` resolves the environment override and then
-/// a heuristic.
+/// explicit states win, `Auto` resolves by a heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Toggle {
-    /// Resolve at solve time: the `MSPCG_RESIDUAL_REPLACEMENT` override if
-    /// set, otherwise on only for drift-prone variants at tight tolerance.
+    /// Resolve at solve time: on only for drift-prone variants at tight
+    /// tolerance.
     #[default]
     Auto,
     /// Always audit (and replace on divergence).
@@ -74,9 +73,8 @@ pub enum Toggle {
 pub struct RecoveryPolicy {
     /// Residual auditing + replacement switch.
     pub replacement: Toggle,
-    /// Iterations between audits; `0` delegates to the validated
-    /// `MSPCG_AUDIT_PERIOD` override (default
-    /// [`tuning::DEFAULT_AUDIT_PERIOD`]).
+    /// Iterations between audits; `0` means
+    /// [`tuning::DEFAULT_AUDIT_PERIOD`].
     pub audit_period: usize,
     /// Upper bound on replacements (audit-triggered and non-finite
     /// recoveries) per solve; once exhausted, audit divergence is ignored
@@ -106,7 +104,7 @@ impl RecoveryPolicy {
     }
 
     /// Auditing unconditionally off — pins the exact barrier/reduction
-    /// schedule regardless of environment overrides.
+    /// schedule at any tolerance.
     pub fn off() -> Self {
         RecoveryPolicy {
             replacement: Toggle::Off,
@@ -114,10 +112,10 @@ impl RecoveryPolicy {
         }
     }
 
-    /// Effective audit period (resolving `0` to the environment/default).
+    /// Effective audit period (resolving `0` to the default).
     pub fn period(&self) -> usize {
         if self.audit_period == 0 {
-            tuning::audit_period()
+            tuning::DEFAULT_AUDIT_PERIOD
         } else {
             self.audit_period
         }
@@ -125,18 +123,18 @@ impl RecoveryPolicy {
 
     /// Whether auditing is active for a solve of `variant` (already
     /// resolved, never `Auto`) at tolerance `tol`. Explicit `On`/`Off`
-    /// win; `Auto` resolves `MSPCG_RESIDUAL_REPLACEMENT`, then enables
-    /// auditing only for the drift-prone recurrences at tight tolerance.
+    /// win; `Auto` enables auditing only for the drift-prone recurrences
+    /// at tight tolerance.
     pub fn audit_enabled(&self, variant: PcgVariant, tol: f64) -> bool {
         match self.replacement {
             Toggle::On => true,
             Toggle::Off => false,
-            Toggle::Auto => tuning::forced_residual_replacement().unwrap_or(
+            Toggle::Auto => {
                 matches!(
                     variant,
                     PcgVariant::SingleReduction | PcgVariant::Pipelined | PcgVariant::SStep { .. }
-                ) && tol <= TIGHT_TOL,
-            ),
+                ) && tol <= TIGHT_TOL
+            }
         }
     }
 }
@@ -555,19 +553,17 @@ mod tests {
 
     #[test]
     fn policy_resolution_and_audit_schedule() {
-        // Explicit states win regardless of environment.
+        // Explicit states win regardless of variant and tolerance.
         assert!(RecoveryPolicy::on().audit_enabled(PcgVariant::Classic, 1e-6));
         assert!(!RecoveryPolicy::off().audit_enabled(PcgVariant::Pipelined, 1e-14));
-        // Auto (unless the env forces otherwise): drift-prone variants at
-        // tight tolerance only.
-        if tuning::forced_residual_replacement().is_none() {
-            let auto = RecoveryPolicy::default();
-            assert!(auto.audit_enabled(PcgVariant::Pipelined, 1e-12));
-            assert!(auto.audit_enabled(PcgVariant::SingleReduction, TIGHT_TOL));
-            assert!(auto.audit_enabled(PcgVariant::SStep { s: 4 }, 1e-12));
-            assert!(!auto.audit_enabled(PcgVariant::Pipelined, 1e-8));
-            assert!(!auto.audit_enabled(PcgVariant::Classic, 1e-14));
-        }
+        // Auto: drift-prone variants at tight tolerance only.
+        let auto = RecoveryPolicy::default();
+        assert!(auto.audit_enabled(PcgVariant::Pipelined, 1e-12));
+        assert!(auto.audit_enabled(PcgVariant::SingleReduction, TIGHT_TOL));
+        assert!(auto.audit_enabled(PcgVariant::SStep { s: 4 }, 1e-12));
+        assert!(!auto.audit_enabled(PcgVariant::Pipelined, 1e-8));
+        assert!(!auto.audit_enabled(PcgVariant::Classic, 1e-14));
+        assert_eq!(auto.period(), tuning::DEFAULT_AUDIT_PERIOD);
         // Schedule: first audit strictly after the warm-start point, then
         // every `period` iterations.
         assert!(!audit_due(1, 0, 4));

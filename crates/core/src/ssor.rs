@@ -290,7 +290,7 @@ impl MulticolorSsor {
         for c in 0..nb {
             let blk = self.colors.range(c);
             let last = c == nb - 1;
-            let threads = par::threads_for(self.block_nnz(&blk), tuning::par_min_nnz());
+            let threads = par::threads_for(self.block_nnz(&blk), tuning::PAR_MIN_NNZ);
             if threads <= 1 {
                 for i in blk {
                     let lower = self.lower_sum(i, x);
@@ -337,7 +337,7 @@ impl MulticolorSsor {
         let nb = self.colors.num_blocks();
         for c in 0..nb {
             let blk = self.colors.range(c);
-            let threads = par::threads_for(self.block_nnz(&blk), tuning::par_min_nnz());
+            let threads = par::threads_for(self.block_nnz(&blk), tuning::PAR_MIN_NNZ);
             if threads <= 1 {
                 for i in blk {
                     let lower = self.lower_sum(i, x);
@@ -373,7 +373,7 @@ impl MulticolorSsor {
     fn backward_cached(&self, scale: f64, b: &[f64], x: &mut [f64], y: &mut [f64], from: usize) {
         for c in (0..=from).rev() {
             let blk = self.colors.range(c);
-            let threads = par::threads_for(self.block_nnz(&blk), tuning::par_min_nnz());
+            let threads = par::threads_for(self.block_nnz(&blk), tuning::PAR_MIN_NNZ);
             if threads <= 1 {
                 for i in blk {
                     let upper = self.upper_sum(i, x);

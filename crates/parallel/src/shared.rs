@@ -14,8 +14,12 @@
 //! Rust cannot express this aliasing pattern with `&mut` splitting because
 //! readers need the whole vector while writers hold disjoint parts, so
 //! [`SharedVec`] wraps an `UnsafeCell` and exposes `unsafe` accessors whose
-//! contracts restate the discipline. Debug builds additionally verify
-//! write-range disjointness per phase via an epoch/range log.
+//! contracts restate the discipline. Debug builds check only that each
+//! write range or index is in bounds (`debug_assert!`s in
+//! [`SharedVec::write`] and [`SharedVec::write_at`]). Write disjointness
+//! and the no-read-of-a-same-phase-write rule are *not* machine-checked:
+//! they rest on the own-strip arguments at each call site. A per-phase
+//! epoch/range checker is planned (`ROADMAP.md`, direction 5).
 
 use std::cell::UnsafeCell;
 

@@ -152,8 +152,7 @@
 //! the cross-strip SpMV input needs where the SSOR sweeps read own-strip
 //! only) with the one split crossing unchanged.
 //! [`ParallelMStepPcg::auto`] picks between sweeps and polynomial via
-//! [`PrecondKind::resolve`] (the validated `MSPCG_PRECOND` override or
-//! the barrier-cost heuristic).
+//! [`PrecondKind::resolve`] (the barrier-cost heuristic).
 
 use crate::barrier::{SpinBarrier, SplitBarrier};
 use crate::shared::{slot, ScalarBank, SharedVec};
@@ -180,15 +179,15 @@ pub struct ParallelSolverOptions {
     pub tol: f64,
     /// Iteration budget.
     pub max_iterations: usize,
-    /// Iteration variant. [`PcgVariant::Auto`] (the default) resolves the
-    /// validated `MSPCG_PCG_VARIANT` environment override and falls back
-    /// to the classic schedule.
+    /// Iteration variant. [`PcgVariant::Auto`] (the default) resolves to
+    /// the classic schedule; an out-of-range [`PcgVariant::SStep`] width
+    /// is rejected (see [`PcgVariant::resolve`]).
     pub variant: PcgVariant,
     /// Residual-audit / replacement / recovery-ladder policy. Auditing is
     /// resolved **once** from the requested variant and tolerance, so a
     /// ladder rerun on a lower rung inherits the decision. Use
-    /// [`RecoveryPolicy::off`] to pin the exact barrier schedule against
-    /// environment overrides (counter tests, benches).
+    /// [`RecoveryPolicy::off`] to pin the exact barrier schedule at any
+    /// tolerance (counter tests, benches).
     pub recovery: RecoveryPolicy,
 }
 
@@ -542,9 +541,8 @@ impl ParallelMStepPcg {
         Ok(base)
     }
 
-    /// Resolve `selection` — the validated `MSPCG_PRECOND` override for
-    /// [`PrecondKind::Auto`], else the barrier-cost heuristic of
-    /// [`PrecondKind::resolve`] — and build the chosen SPMD
+    /// Resolve `selection` by the barrier-cost heuristic of
+    /// [`PrecondKind::resolve`] and build the chosen SPMD
     /// configuration: the SPMD counterpart of
     /// [`mspcg_core::auto_preconditioner`], including its degenerate-
     /// spectrum revision: a *heuristic* polynomial pick whose RAW Lanczos
@@ -560,8 +558,7 @@ impl ParallelMStepPcg {
         m_default: usize,
         selection: PrecondKind,
     ) -> Result<Self, SparseError> {
-        let heuristic =
-            selection == PrecondKind::Auto && mspcg_sparse::tuning::forced_precond().is_none();
+        let heuristic = selection == PrecondKind::Auto;
         match selection.resolve(colors.num_blocks(), m_default) {
             PrecondKind::Auto => unreachable!("resolve never returns Auto"),
             PrecondKind::MStepSsor { m } => Self::new(matrix, colors, vec![1.0; m]),
@@ -659,7 +656,8 @@ impl ParallelMStepPcg {
     /// [`SparseError::NonFinite`] when a non-finite reduction scalar
     /// outlives the replacement budget (or for a NaN/Inf right-hand
     /// side), [`SparseError::InvalidTolerance`] for a nonpositive or
-    /// non-finite tolerance, shape errors on bad input.
+    /// non-finite tolerance, [`SparseError::InvalidPartition`] for an
+    /// out-of-range s-step block width, shape errors on bad input.
     pub fn solve(
         &self,
         f: &[f64],
@@ -702,7 +700,7 @@ impl ParallelMStepPcg {
                 iteration: 0,
             });
         }
-        let pinned = opts.variant.resolve();
+        let pinned = opts.variant.resolve()?;
         // Audit enablement is resolved once from the *requested* variant,
         // so the classic rung of a ladder rerun inherits the decision.
         let f_norm = f.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -715,12 +713,7 @@ impl ParallelMStepPcg {
             },
             max_replacements: opts.recovery.max_replacements,
         };
-        let mut rung = match pinned {
-            PcgVariant::SingleReduction | PcgVariant::Pipelined | PcgVariant::SStep { .. } => {
-                pinned
-            }
-            _ => PcgVariant::Classic,
-        };
+        let mut rung = pinned;
         let mut recoveries = 0usize;
         let mut acc_audits = 0usize;
         let mut acc_faults = 0usize;
@@ -3064,7 +3057,7 @@ mod tests {
             max_iterations: 10_000,
             variant,
             // The schedule-pinning tests assert exact crossing counts, so
-            // the audit phase must stay off regardless of env overrides.
+            // the audit phase must stay off at every tolerance.
             recovery: RecoveryPolicy::off(),
         }
     }
@@ -3870,16 +3863,12 @@ mod tests {
                 degree: 5
             }
         );
-        // Auto defers to the environment pin when one is set, else the
-        // barrier-cost heuristic — assert the heuristic only when the
-        // ambient environment leaves Auto unpinned.
-        if mspcg_sparse::tuning::forced_precond().is_none() {
-            let auto = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
-            assert_eq!(
-                auto.precond(),
-                PrecondKind::Auto.resolve(colors.num_blocks(), 2)
-            );
-        }
+        // Auto resolves by the barrier-cost heuristic.
+        let auto = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
+        assert_eq!(
+            auto.precond(),
+            PrecondKind::Auto.resolve(colors.num_blocks(), 2)
+        );
         // Both pinned solvers reach the true solution.
         let exact = exact_solution(&a, &rhs);
         for par in [&ssor, &poly] {
@@ -3909,21 +3898,19 @@ mod tests {
         let a = c.to_csr();
         let colors = Partition::from_sizes(&[6, 6]).unwrap();
         let rhs: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        if mspcg_sparse::tuning::forced_precond().is_none() {
-            // Sanity: the heuristic alone WOULD pick the polynomial here.
-            assert!(matches!(
-                PrecondKind::Auto.resolve(colors.num_blocks(), 2),
-                PrecondKind::Poly { .. }
-            ));
-            let auto = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
-            assert_eq!(auto.precond(), PrecondKind::MStepSsor { m: 2 });
-            let rep = auto
-                .solve(&rhs, &variant_opts(PcgVariant::Classic, 2, 1e-10))
-                .unwrap();
-            assert!(rep.converged);
-            for (x, f) in rep.x.iter().zip(&rhs) {
-                assert!((x - f / 3.0).abs() < 1e-10, "{x} vs {}", f / 3.0);
-            }
+        // Sanity: the heuristic alone WOULD pick the polynomial here.
+        assert!(matches!(
+            PrecondKind::Auto.resolve(colors.num_blocks(), 2),
+            PrecondKind::Poly { .. }
+        ));
+        let auto = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
+        assert_eq!(auto.precond(), PrecondKind::MStepSsor { m: 2 });
+        let rep = auto
+            .solve(&rhs, &variant_opts(PcgVariant::Classic, 2, 1e-10))
+            .unwrap();
+        assert!(rep.converged);
+        for (x, f) in rep.x.iter().zip(&rhs) {
+            assert!((x - f / 3.0).abs() < 1e-10, "{x} vs {}", f / 3.0);
         }
         // A *pinned* polynomial stays pinned on the same spectrum: its
         // schedule absorbs the degenerate (safeguard-widened) interval.

@@ -234,7 +234,7 @@ impl CsrMatrix {
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "mul_vec: x length mismatch");
         assert_eq!(y.len(), self.rows, "mul_vec: y length mismatch");
-        let threads = par::threads_for(self.nnz(), tuning::par_min_nnz());
+        let threads = par::threads_for(self.nnz(), tuning::PAR_MIN_NNZ);
         if threads <= 1 {
             self.mul_vec_range_into(x, y, 0..self.rows);
             return;
@@ -278,7 +278,7 @@ impl CsrMatrix {
     pub fn mul_vec_axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "mul_vec_axpy: x length mismatch");
         assert_eq!(y.len(), self.rows, "mul_vec_axpy: y length mismatch");
-        let threads = par::threads_for(self.nnz(), tuning::par_min_nnz());
+        let threads = par::threads_for(self.nnz(), tuning::PAR_MIN_NNZ);
         if threads <= 1 {
             self.mul_vec_axpy_range(a, x, y, 0..self.rows);
             return;
@@ -773,7 +773,7 @@ mod tests {
             }
         }
         let a = coo.to_csr();
-        assert!(a.nnz() >= crate::tuning::par_min_nnz());
+        assert!(a.nnz() >= crate::tuning::PAR_MIN_NNZ);
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) % 31) as f64 * 0.1).collect();
         let before = crate::par::max_threads();
         crate::par::set_max_threads(1);

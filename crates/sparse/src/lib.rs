@@ -28,8 +28,7 @@
 //! * [`partition`] — contiguous index partitions (the color blocks of the
 //!   multicolor ordering),
 //! * [`permute`] — permutation vectors and their action on vectors/matrices,
-//! * [`tuning`] — every adaptive threshold, with validated `MSPCG_*`
-//!   environment overrides.
+//! * [`tuning`] — every adaptive threshold, as compile-time constants.
 //!
 //! Everything is `f64`; the solvers in `mspcg-core` are deliberately not
 //! generic over the scalar so that the hot kernels stay monomorphic and easy
@@ -51,10 +50,9 @@
 //! `*_thread_count_insensitive` tests that assert exactly this.
 //!
 //! *Adaptive fallback.* Kernels below a work threshold
-//! ([`tuning::par_min_elems`] elements / [`tuning::par_min_nnz`] stored
+//! ([`tuning::PAR_MIN_ELEMS`] elements / [`tuning::PAR_MIN_NNZ`] stored
 //! entries) run serially: waking the pool costs more than the loop. Every
-//! threshold lives in [`tuning`] and can be overridden per process with a
-//! validated `MSPCG_*` environment variable. Thread budget: hardware
+//! threshold lives in [`tuning`]. Thread budget: hardware
 //! parallelism by default, pinned by the `MSPCG_THREADS` environment
 //! variable or [`par::set_max_threads`].
 //!
@@ -68,7 +66,8 @@
 //! when the row-length spread within a σ window is small the overhead is
 //! near zero, and [`op::AutoOp`] converts automatically only when the
 //! longest row is ≥ 4× the mean *and* the measured overhead stays under
-//! 50 % (`MSPCG_FORCE_FORMAT` pins the choice). Because every format
+//! 50 % (construct a [`csr::CsrMatrix`] or [`sellcs::SellCsMatrix`]
+//! directly to pin the format). Because every format
 //! accumulates each row in ascending column order, products — and whole
 //! solver runs — are **bitwise identical** across formats.
 //!

@@ -103,7 +103,7 @@ pub trait SparseOp: Sync {
     }
 
     /// `y ← A·x`: the adaptive serial/parallel entry point. The provided
-    /// driver runs serially below [`tuning::par_min_nnz`] stored entries
+    /// driver runs serially below [`tuning::PAR_MIN_NNZ`] stored entries
     /// and otherwise distributes [`SparseOp::chunk_rows`] chunks over the
     /// worker pool, writing disjoint row ranges — bitwise identical to the
     /// serial path by the row-independence of the range kernel.
@@ -113,7 +113,7 @@ pub trait SparseOp: Sync {
     fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols(), "mul_vec: x length mismatch");
         assert_eq!(y.len(), self.rows(), "mul_vec: y length mismatch");
-        let threads = par::threads_for(self.nnz(), tuning::par_min_nnz());
+        let threads = par::threads_for(self.nnz(), tuning::PAR_MIN_NNZ);
         if threads <= 1 {
             self.mul_vec_range_into(x, y, 0..self.rows());
             return;
@@ -136,7 +136,7 @@ pub trait SparseOp: Sync {
     fn mul_vec_axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols(), "mul_vec_axpy: x length mismatch");
         assert_eq!(y.len(), self.rows(), "mul_vec_axpy: y length mismatch");
-        let threads = par::threads_for(self.nnz(), tuning::par_min_nnz());
+        let threads = par::threads_for(self.nnz(), tuning::PAR_MIN_NNZ);
         if threads <= 1 {
             self.mul_vec_axpy_range(a, x, y, 0..self.rows());
             return;
@@ -449,11 +449,10 @@ pub const AUTO_WIDE_ROW_RATIO: usize = 4;
 pub const AUTO_MAX_PADDING: f64 = 0.5;
 
 /// An operator whose storage format is chosen at construction: CSR for
-/// regular row shapes, SELL-C-σ for wide/irregular rows, with the choice
-/// pinnable through the `MSPCG_FORCE_FORMAT` environment variable
-/// ([`tuning::forced_format`]). Consumers stay generic over [`SparseOp`];
-/// `AutoOp` is the convenience dispatcher for callers that want the
-/// library to decide.
+/// regular row shapes, SELL-C-σ for wide/irregular rows. Consumers stay
+/// generic over [`SparseOp`]; `AutoOp` is the convenience dispatcher for
+/// callers that want the library to decide (callers that want one format
+/// construct [`CsrMatrix`] or [`SellCsMatrix`] directly).
 #[derive(Debug, Clone)]
 pub enum AutoOp {
     /// Compressed sparse row.
@@ -463,25 +462,18 @@ pub enum AutoOp {
 }
 
 impl AutoOp {
-    /// Choose a format for `a`: the `MSPCG_FORCE_FORMAT` override wins;
-    /// otherwise SELL-C-σ is selected when the longest row is at least
-    /// [`AUTO_WIDE_ROW_RATIO`] × the mean row length (the wide-row shapes
-    /// whose chunk imbalance SELL-C-σ exists to fix) **and** the converted
-    /// padding overhead stays within [`AUTO_MAX_PADDING`]; CSR otherwise.
+    /// Choose a format for `a`: SELL-C-σ is selected when the longest row
+    /// is at least [`AUTO_WIDE_ROW_RATIO`] × the mean row length (the
+    /// wide-row shapes whose chunk imbalance SELL-C-σ exists to fix)
+    /// **and** the converted padding overhead stays within
+    /// [`AUTO_MAX_PADDING`]; CSR otherwise.
     ///
-    /// A SELL-C-σ conversion — forced or heuristic — takes its `(C, σ)`
-    /// from [`crate::sellcs::autotune_params`], which scans the row-length
+    /// The SELL-C-σ conversion takes its `(C, σ)` from
+    /// [`crate::sellcs::autotune_params`], which scans the row-length
     /// histogram instead of assuming the fixed defaults: uniform shapes
     /// get the widest slices with no sorting, heavy-tailed shapes whatever
     /// sliced layout measures the least padding.
     pub fn from_csr(a: CsrMatrix) -> AutoOp {
-        match tuning::forced_format() {
-            Some(MatrixFormat::Csr) => return AutoOp::Csr(a),
-            Some(MatrixFormat::SellCs) => {
-                return AutoOp::SellCs(SellCsMatrix::from_csr_autotuned(&a))
-            }
-            None => {}
-        }
         let rows = CsrMatrix::rows(&a);
         if rows == 0 || CsrMatrix::nnz(&a) == 0 {
             return AutoOp::Csr(a);
@@ -637,9 +629,7 @@ mod tests {
     #[test]
     fn auto_op_keeps_csr_for_regular_rows() {
         let auto = AutoOp::from_csr(sample());
-        if tuning::forced_format().is_none() {
-            assert_eq!(auto.format(), MatrixFormat::Csr);
-        }
+        assert_eq!(auto.format(), MatrixFormat::Csr);
         let x = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(generic_spmv(&auto, &x), CsrMatrix::mul_vec(&sample(), &x));
     }
@@ -663,9 +653,7 @@ mod tests {
         }
         let a = coo.to_csr();
         let auto = AutoOp::from_csr(a.clone());
-        if tuning::forced_format().is_none() {
-            assert_eq!(auto.format(), MatrixFormat::SellCs);
-        }
+        assert_eq!(auto.format(), MatrixFormat::SellCs);
         let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 * 0.25).collect();
         let want = CsrMatrix::mul_vec(&a, &x);
         let got = generic_spmv(&auto, &x);

@@ -61,14 +61,14 @@ pub fn reduction_layout(n: usize) -> (usize, usize) {
 /// stored entries rather than a fixed row count. Row-count chunking lets a
 /// run of dense-ish rows serialize the pool on irregular FEM matrices; the
 /// nnz weighting balances actual work. Depends only on `nnz` (and the
-/// process-fixed [`tuning::min_spmv_chunk_nnz`] threshold), never on the
+/// compile-time [`tuning::MIN_SPMV_CHUNK_NNZ`] threshold), never on the
 /// thread count, so layouts stay deterministic.
 #[inline]
 pub fn spmv_layout(nnz: usize) -> (usize, usize) {
     if nnz == 0 {
         return (1, 0);
     }
-    let chunk = nnz.div_ceil(MAX_PARTIALS).max(tuning::min_spmv_chunk_nnz());
+    let chunk = nnz.div_ceil(MAX_PARTIALS).max(tuning::MIN_SPMV_CHUNK_NNZ);
     (chunk, nnz.div_ceil(chunk))
 }
 
@@ -193,8 +193,8 @@ impl<'a> ParSlice<'a> {
 /// Parse an `MSPCG_THREADS` value: `Some(n)` for a positive integer,
 /// `None` for anything else (`0`, empty, non-numeric, overflow). A budget
 /// of zero threads is meaningless — it would describe an empty pool — so
-/// it is invalid rather than silently promoted. Shares the
-/// [`tuning::parse_positive`] rules with every other `MSPCG_*` knob.
+/// it is invalid rather than silently promoted. Uses the
+/// [`tuning::parse_positive`] rules.
 pub fn parse_thread_budget(raw: &str) -> Option<usize> {
     tuning::parse_positive(raw)
 }
@@ -546,7 +546,7 @@ mod tests {
     fn spmv_layout_is_size_only() {
         assert_eq!(spmv_layout(0), (1, 0));
         let (c, k) = spmv_layout(100);
-        assert_eq!((c, k), (tuning::min_spmv_chunk_nnz(), 1));
+        assert_eq!((c, k), (tuning::MIN_SPMV_CHUNK_NNZ, 1));
         let (c, k) = spmv_layout(1 << 22);
         assert!(k <= MAX_PARTIALS);
         assert!(c * k >= 1 << 22);

@@ -482,7 +482,7 @@ impl SparseOp for SellCsMatrix {
     fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "sellcs mul: x length mismatch");
         assert_eq!(y.len(), self.rows, "sellcs mul: y length mismatch");
-        let threads = par::threads_for(self.nnz, tuning::par_min_nnz());
+        let threads = par::threads_for(self.nnz, tuning::PAR_MIN_NNZ);
         if threads <= 1 {
             self.slices_product(x, 0..self.num_slices(), &mut |i, v| y[i] = v);
             return;
@@ -503,7 +503,7 @@ impl SparseOp for SellCsMatrix {
     fn mul_vec_axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "sellcs axpy: x length mismatch");
         assert_eq!(y.len(), self.rows, "sellcs axpy: y length mismatch");
-        let threads = par::threads_for(self.nnz, tuning::par_min_nnz());
+        let threads = par::threads_for(self.nnz, tuning::PAR_MIN_NNZ);
         if threads <= 1 {
             self.slices_product(x, 0..self.num_slices(), &mut |i, v| y[i] += a * v);
             return;
@@ -739,7 +739,7 @@ mod tests {
     fn wide_row_spmv_is_thread_count_insensitive_and_matches_csr() {
         let _guard = crate::par::thread_sweep_lock();
         let a = arrow(8_000, 4);
-        assert!(a.nnz() >= tuning::par_min_nnz());
+        assert!(a.nnz() >= tuning::PAR_MIN_NNZ);
         let sell = SellCsMatrix::from_csr_default(&a);
         let n = a.rows();
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) % 31) as f64 * 0.1).collect();

@@ -1,141 +1,52 @@
-//! Central tuning knobs of the kernel layer.
+//! Central tuning constants of the kernel layer and the solver-selection
+//! types shared by the serial and SPMD stacks.
 //!
 //! Every adaptive decision the kernels make — "is this loop big enough to
-//! wake the pool?", "how many stored entries should one SpMV chunk carry?",
-//! "which storage format should the operator use?" — reads its threshold
-//! from this module. The defaults are the constants the benches were tuned
-//! with; each can be overridden per process through an `MSPCG_*`
-//! environment variable, validated exactly like `MSPCG_THREADS` (a positive
-//! integer; empty counts as unset; `0` or garbage trips a debug assertion
-//! and falls back to the built-in default rather than silently
-//! misconfiguring the kernels).
+//! wake the pool?", "how many stored entries should one SpMV chunk carry?"
+//! — reads its threshold from this module. The values are the constants
+//! the benches were tuned with; they are fixed at compile time so chunk
+//! layouts, and with them the determinism contract (bitwise thread-count
+//! insensitivity), never depend on the process environment.
+//!
+//! The only environment variable the library reads is `MSPCG_THREADS`, the
+//! pool size (a deployment setting, like `OMP_NUM_THREADS`). It lives in
+//! [`crate::par`] and is validated by [`parse_positive`].
 //!
 //! | Variable | Default | Meaning |
 //! |---|---|---|
-//! | `MSPCG_PAR_MIN_ELEMS` | [`DEFAULT_PAR_MIN_ELEMS`] | BLAS-1 kernels shorter than this run serially |
-//! | `MSPCG_PAR_MIN_NNZ` | [`DEFAULT_PAR_MIN_NNZ`] | sparse kernels (SpMV, SSOR sweeps) with fewer stored entries run serially |
-//! | `MSPCG_MIN_SPMV_CHUNK_NNZ` | [`DEFAULT_MIN_SPMV_CHUNK_NNZ`] | minimum stored entries per nnz-weighted SpMV chunk |
-//! | `MSPCG_FORCE_FORMAT` | *(unset)* | pin [`crate::op::AutoOp`] to one storage format (`csr` or `sellcs`) |
-//! | `MSPCG_PCG_VARIANT` | *(unset)* | pin the PCG iteration variant (`classic`, `single_reduction`, `pipelined` or `sstep:S` with `2 ≤ S ≤ 16`) for every solver whose options leave the variant on automatic |
-//! | `MSPCG_PRECOND` | *(unset)* | pin the preconditioner for every solver whose selection is on automatic: `mstep:M` / `ssor:M` for the m-step multicolor SSOR, `chebyshev:K` / `newton:K` for the degree-`K` polynomial |
-//! | `MSPCG_AUDIT_PERIOD` | [`DEFAULT_AUDIT_PERIOD`] | iterations between true-residual audits when residual replacement is active |
-//! | `MSPCG_RESIDUAL_REPLACEMENT` | *(unset)* | force residual auditing + replacement on (`1`/`true`/`on`) or off (`0`/`false`/`off`) for every solver whose recovery policy is on automatic |
-//!
-//! Values are read **once**, at first use, and cached for the lifetime of
-//! the process: chunk layouts derived from them must stay fixed so the
-//! determinism contract (bitwise thread-count insensitivity) keeps holding
-//! within a run.
-//!
-//! `MSPCG_THREADS` itself stays in [`crate::par`] (it configures the pool,
-//! not a kernel threshold) but shares the [`parse_positive`] validation.
+//! | `MSPCG_THREADS` | hardware parallelism | worker budget of the kernel pool |
 
-use std::sync::OnceLock;
+use crate::error::SparseError;
 
-/// Default for [`par_min_elems`]: BLAS-1 kernels shorter than this always
-/// run serially (the launch cost of waking the pool exceeds the loop cost).
-pub const DEFAULT_PAR_MIN_ELEMS: usize = 1 << 15;
+/// BLAS-1 parallelism threshold: kernels shorter than this many elements
+/// always run serially (the launch cost of waking the pool exceeds the
+/// loop cost).
+pub const PAR_MIN_ELEMS: usize = 1 << 15;
 
-/// Default for [`par_min_nnz`]: sparse kernels (SpMV, SSOR color sweeps)
+/// Sparse-kernel parallelism threshold: kernels (SpMV, SSOR color sweeps)
 /// with fewer stored entries than this run serially.
-pub const DEFAULT_PAR_MIN_NNZ: usize = 1 << 14;
+pub const PAR_MIN_NNZ: usize = 1 << 14;
 
-/// Default for [`min_spmv_chunk_nnz`]: below this many stored entries per
-/// chunk, the chunk-claim overhead dominates the row loop.
-pub const DEFAULT_MIN_SPMV_CHUNK_NNZ: usize = 1 << 9;
+/// Minimum stored entries per nnz-weighted SpMV chunk: below this, the
+/// chunk-claim overhead dominates the row loop.
+pub const MIN_SPMV_CHUNK_NNZ: usize = 1 << 9;
 
-/// Default for [`audit_period`]: iterations between true-residual audits
-/// when residual replacement is active. One audit costs one extra SpMV (and
-/// one extra barrier on the SPMD schedule), so the default trades a few
-/// percent of overhead for bounded recurrence drift.
+/// Iterations between true-residual audits when residual replacement is
+/// active and the recovery policy leaves the period at `0`. One audit
+/// costs one extra SpMV (and one extra barrier on the SPMD schedule), so
+/// the default trades a few percent of overhead for bounded recurrence
+/// drift.
 pub const DEFAULT_AUDIT_PERIOD: usize = 32;
 
-/// Parse an `MSPCG_*` tuning value: `Some(n)` for a positive integer,
-/// `None` for anything else (`0`, empty, non-numeric, overflow). Zero is
-/// invalid everywhere it could appear — a zero thread budget describes an
-/// empty pool, a zero threshold a meaningless "never/always" knob — so it
-/// is rejected rather than silently clamped.
+/// Parse an `MSPCG_THREADS` value: `Some(n)` for a positive integer,
+/// `None` for anything else (`0`, empty, non-numeric, overflow). A zero
+/// thread budget describes an empty pool, so it is rejected rather than
+/// silently clamped.
 pub fn parse_positive(raw: &str) -> Option<usize> {
     match raw.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Some(n),
         _ => None,
     }
-}
-
-/// Read `var` once: a valid positive integer overrides `default`; an empty
-/// value counts as unset; anything else trips a debug assertion and keeps
-/// the default (release builds must not limp along with a zeroed
-/// threshold).
-fn env_threshold(var: &'static str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(v) if !v.trim().is_empty() => match parse_positive(&v) {
-            Some(n) => n,
-            None => {
-                debug_assert!(false, "{var} must be a positive integer, got {v:?}");
-                default
-            }
-        },
-        _ => default,
-    }
-}
-
-/// BLAS-1 parallelism threshold (elements). `MSPCG_PAR_MIN_ELEMS`.
-pub fn par_min_elems() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| env_threshold("MSPCG_PAR_MIN_ELEMS", DEFAULT_PAR_MIN_ELEMS))
-}
-
-/// Sparse-kernel parallelism threshold (stored entries). `MSPCG_PAR_MIN_NNZ`.
-pub fn par_min_nnz() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| env_threshold("MSPCG_PAR_MIN_NNZ", DEFAULT_PAR_MIN_NNZ))
-}
-
-/// Minimum stored entries per nnz-weighted SpMV chunk.
-/// `MSPCG_MIN_SPMV_CHUNK_NNZ`.
-pub fn min_spmv_chunk_nnz() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| env_threshold("MSPCG_MIN_SPMV_CHUNK_NNZ", DEFAULT_MIN_SPMV_CHUNK_NNZ))
-}
-
-/// Iterations between true-residual audits when residual replacement is
-/// active. `MSPCG_AUDIT_PERIOD` (a positive integer; `1` audits every
-/// iteration).
-pub fn audit_period() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| env_threshold("MSPCG_AUDIT_PERIOD", DEFAULT_AUDIT_PERIOD))
-}
-
-/// Parse an `MSPCG_RESIDUAL_REPLACEMENT` value: `Some(true)` / `Some(false)`
-/// for a known switch name (case-insensitive), `None` for anything else —
-/// the same pure-function validation shape as [`parse_positive`].
-pub fn parse_switch(raw: &str) -> Option<bool> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// The `MSPCG_RESIDUAL_REPLACEMENT` override: `Some(enabled)` when the
-/// environment pins residual auditing + replacement for solves whose
-/// recovery policy is on automatic, `None` when unset or empty (the
-/// tight-tolerance heuristic decides). Validated exactly like
-/// `MSPCG_THREADS`: an unknown value trips a debug assertion and behaves as
-/// unset. Read once and cached — the audit schedule must not flip between
-/// two solves of one process, or replay determinism would break.
-pub fn forced_residual_replacement() -> Option<bool> {
-    static CELL: OnceLock<Option<bool>> = OnceLock::new();
-    *CELL.get_or_init(|| match std::env::var("MSPCG_RESIDUAL_REPLACEMENT") {
-        Ok(v) if !v.trim().is_empty() => {
-            let parsed = parse_switch(&v);
-            debug_assert!(
-                parsed.is_some(),
-                "MSPCG_RESIDUAL_REPLACEMENT must be a boolean switch (1/0/true/false/on/off), got {v:?}"
-            );
-            parsed
-        }
-        _ => None,
-    })
 }
 
 /// Storage formats [`crate::op::AutoOp`] can select between.
@@ -147,47 +58,12 @@ pub enum MatrixFormat {
     SellCs,
 }
 
-/// Parse an `MSPCG_FORCE_FORMAT` value: `Some(format)` for a known name
-/// (`csr` / `sellcs`, case-insensitive, with the `sell-c-sigma` / `sell`
-/// aliases), `None` for anything else — the same pure-function validation
-/// shape as [`parse_positive`], so unknown values can be rejected loudly
-/// instead of silently accepted.
-pub fn parse_format(raw: &str) -> Option<MatrixFormat> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "csr" => Some(MatrixFormat::Csr),
-        "sellcs" | "sell-c-sigma" | "sell" => Some(MatrixFormat::SellCs),
-        _ => None,
-    }
-}
-
-/// The `MSPCG_FORCE_FORMAT` override: `Some(format)` when the environment
-/// pins the operator format, `None` when unset or empty so the row-shape
-/// heuristic decides. Validated exactly like `MSPCG_THREADS`: an unknown
-/// value trips a debug assertion and behaves as unset rather than being
-/// silently accepted. Read once and cached, like the numeric thresholds.
-pub fn forced_format() -> Option<MatrixFormat> {
-    static CELL: OnceLock<Option<MatrixFormat>> = OnceLock::new();
-    *CELL.get_or_init(|| match std::env::var("MSPCG_FORCE_FORMAT") {
-        Ok(v) if !v.trim().is_empty() => {
-            let parsed = parse_format(&v);
-            debug_assert!(
-                parsed.is_some(),
-                "MSPCG_FORCE_FORMAT must be `csr` or `sellcs`, got {v:?}"
-            );
-            parsed
-        }
-        _ => None,
-    })
-}
-
 /// PCG iteration variants the solver stack implements. Lives here (rather
 /// than in `mspcg-core`) so the serial solvers, the batched multi-RHS
-/// driver and the SPMD `ParallelMStepPcg` all share one selection type and
-/// one validated `MSPCG_PCG_VARIANT` override.
+/// driver and the SPMD `ParallelMStepPcg` all share one selection type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PcgVariant {
-    /// Resolve at solve time: the `MSPCG_PCG_VARIANT` override if set,
-    /// otherwise [`PcgVariant::Classic`].
+    /// Resolve at solve time to [`PcgVariant::Classic`].
     #[default]
     Auto,
     /// Algorithm 1 as transcribed from the paper: two serialized inner
@@ -217,84 +93,39 @@ pub enum PcgVariant {
     },
 }
 
-/// Largest block width the `sstep:S` syntax accepts. The Chebyshev basis
+/// Largest block width [`PcgVariant::SStep`] accepts. The Chebyshev basis
 /// keeps an s-dimensional block well conditioned for moderate `s`, but the
 /// Gram system is solved in replicated O(s³) scalar work per outer step
 /// and basis conditioning still degrades with `s` — an absurd width is a
 /// misconfiguration, not a tuning choice, and is rejected like `0`.
 pub const MAX_SSTEP_S: usize = 16;
 
-/// Largest `M`/`K` the `mstep:M` / `chebyshev:K` / `newton:K` syntax
-/// accepts. Preconditioner work grows linearly in the parameter while the
-/// iteration-count payoff saturates long before this; values past the cap
-/// are misconfigurations and are rejected like `0`.
-pub const MAX_PRECOND_PARAM: usize = 64;
-
 impl PcgVariant {
-    /// Resolve [`PcgVariant::Auto`] against the environment override;
-    /// pinned variants pass through unchanged. The result is never `Auto`.
-    pub fn resolve(self) -> PcgVariant {
+    /// Resolve [`PcgVariant::Auto`] to [`PcgVariant::Classic`] and validate
+    /// a pinned variant, which otherwise passes through unchanged. The
+    /// result is never `Auto`.
+    ///
+    /// # Errors
+    /// [`SparseError::InvalidPartition`] for an [`PcgVariant::SStep`] block
+    /// width outside `2 ..= MAX_SSTEP_S`: `s = 0` is an empty block, `s = 1`
+    /// is the single-reduction iteration with extra overhead, and a width
+    /// past [`MAX_SSTEP_S`] is a misconfiguration.
+    pub fn resolve(self) -> Result<PcgVariant, SparseError> {
         match self {
-            PcgVariant::Auto => forced_pcg_variant().unwrap_or(PcgVariant::Classic),
-            pinned => pinned,
+            PcgVariant::Auto => Ok(PcgVariant::Classic),
+            PcgVariant::SStep { s } if !(2..=MAX_SSTEP_S).contains(&s) => {
+                Err(SparseError::InvalidPartition {
+                    reason: format!("s-step block width must be in 2..={MAX_SSTEP_S}, got {s}"),
+                })
+            }
+            pinned => Ok(pinned),
         }
     }
-}
-
-/// Parse an `MSPCG_PCG_VARIANT` value: `Some(variant)` for a known name
-/// (`classic` / `single_reduction` / `pipelined` / `sstep:S`,
-/// case-insensitive, with the `single-reduction` / `sr` and `gv` aliases),
-/// `None` for anything else. The `sstep:S` block width is validated here,
-/// not at use: `s = 0` and `s = 1` are degenerate (a one-wide "block" is
-/// the single-reduction iteration with extra overhead) and `S` past
-/// [`MAX_SSTEP_S`] is a misconfiguration, so all three are rejected and
-/// [`forced_pcg_variant`] falls back to the default exactly like
-/// `MSPCG_THREADS` does on a zero thread budget.
-pub fn parse_variant(raw: &str) -> Option<PcgVariant> {
-    let lower = raw.trim().to_ascii_lowercase();
-    if let Some((name, width)) = lower.split_once(':') {
-        if name.trim() != "sstep" {
-            return None;
-        }
-        let s = parse_positive(width)?;
-        if (2..=MAX_SSTEP_S).contains(&s) {
-            return Some(PcgVariant::SStep { s });
-        }
-        return None;
-    }
-    match lower.as_str() {
-        "classic" => Some(PcgVariant::Classic),
-        "single_reduction" | "single-reduction" | "sr" => Some(PcgVariant::SingleReduction),
-        "pipelined" | "gv" => Some(PcgVariant::Pipelined),
-        _ => None,
-    }
-}
-
-/// The `MSPCG_PCG_VARIANT` override: `Some(variant)` when the environment
-/// pins the PCG iteration variant for [`PcgVariant::Auto`] solves, `None`
-/// when unset or empty (classic wins). Validated exactly like
-/// `MSPCG_THREADS`: an unknown value trips a debug assertion and behaves
-/// as unset. Read once and cached — the variant must not flip between two
-/// solves of one process, or replay determinism would break.
-pub fn forced_pcg_variant() -> Option<PcgVariant> {
-    static CELL: OnceLock<Option<PcgVariant>> = OnceLock::new();
-    *CELL.get_or_init(|| match std::env::var("MSPCG_PCG_VARIANT") {
-        Ok(v) if !v.trim().is_empty() => {
-            let parsed = parse_variant(&v);
-            debug_assert!(
-                parsed.is_some(),
-                "MSPCG_PCG_VARIANT must be `classic`, `single_reduction`, `pipelined` or \
-                 `sstep:S` (2 ≤ S ≤ {MAX_SSTEP_S}), got {v:?}"
-            );
-            parsed
-        }
-        _ => None,
-    })
 }
 
 /// Polynomial recurrences the barrier-free preconditioner implements.
 /// Lives here (next to [`PcgVariant`]) so the serial and SPMD stacks share
-/// one selection type and one validated `MSPCG_PRECOND` override.
+/// one selection type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolyKind {
     /// Scaled first-kind Newton (Richardson/truncated-Neumann) recurrence:
@@ -311,8 +142,8 @@ pub enum PolyKind {
 /// SpMVs only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrecondKind {
-    /// Resolve at construction time: the `MSPCG_PRECOND` override if set,
-    /// otherwise the barrier-cost heuristic of [`PrecondKind::resolve`].
+    /// Resolve at construction time by the barrier-cost heuristic of
+    /// [`PrecondKind::resolve`].
     #[default]
     Auto,
     /// The paper's m-step multicolor SSOR preconditioner
@@ -333,9 +164,8 @@ pub enum PrecondKind {
 }
 
 impl PrecondKind {
-    /// Resolve [`PrecondKind::Auto`] against the environment override and
-    /// the barrier-cost heuristic; pinned selections pass through
-    /// unchanged. The result is never `Auto`.
+    /// Resolve [`PrecondKind::Auto`] by the barrier-cost heuristic; pinned
+    /// selections pass through unchanged. The result is never `Auto`.
     ///
     /// The heuristic compares estimated synchronization cost per
     /// application at matched flops (a degree-`2m` polynomial streams the
@@ -346,69 +176,21 @@ impl PrecondKind {
     /// matrix (`colors ≥ 2`); a single-color (pure-diagonal) system keeps
     /// the cheaper SSOR sweeps.
     pub fn resolve(self, colors: usize, m_default: usize) -> PrecondKind {
-        let auto = || {
-            let m = m_default.max(1);
-            if 2 * colors > 3 {
-                PrecondKind::Poly {
-                    kind: PolyKind::Chebyshev,
-                    degree: 2 * m,
-                }
-            } else {
-                PrecondKind::MStepSsor { m }
-            }
-        };
         match self {
-            PrecondKind::Auto => forced_precond().unwrap_or_else(auto),
+            PrecondKind::Auto => {
+                let m = m_default.max(1);
+                if 2 * colors > 3 {
+                    PrecondKind::Poly {
+                        kind: PolyKind::Chebyshev,
+                        degree: 2 * m,
+                    }
+                } else {
+                    PrecondKind::MStepSsor { m }
+                }
+            }
             pinned => pinned,
         }
     }
-}
-
-/// Parse an `MSPCG_PRECOND` value: `Some(kind)` for a known
-/// `name:positive-integer` pair (`mstep:M` / `ssor:M` for
-/// [`PrecondKind::MStepSsor`], `chebyshev:K` / `cheby:K` / `newton:K` for
-/// [`PrecondKind::Poly`], case-insensitive), `None` for anything else —
-/// the same pure-function validation shape as [`parse_variant`],
-/// including the upper bound: parameters past [`MAX_PRECOND_PARAM`] are
-/// rejected like `0`, so `forced_precond` debug-asserts and falls back to
-/// the heuristic instead of constructing an absurd sweep count or degree.
-pub fn parse_precond(raw: &str) -> Option<PrecondKind> {
-    let lower = raw.trim().to_ascii_lowercase();
-    let (name, count) = lower.split_once(':')?;
-    let n = parse_positive(count).filter(|&n| n <= MAX_PRECOND_PARAM)?;
-    match name.trim() {
-        "mstep" | "ssor" => Some(PrecondKind::MStepSsor { m: n }),
-        "chebyshev" | "cheby" => Some(PrecondKind::Poly {
-            kind: PolyKind::Chebyshev,
-            degree: n,
-        }),
-        "newton" => Some(PrecondKind::Poly {
-            kind: PolyKind::Newton,
-            degree: n,
-        }),
-        _ => None,
-    }
-}
-
-/// The `MSPCG_PRECOND` override: `Some(kind)` when the environment pins the
-/// preconditioner for [`PrecondKind::Auto`] selections, `None` when unset
-/// or empty (the barrier-cost heuristic decides). Validated exactly like
-/// `MSPCG_THREADS`: an unknown value trips a debug assertion and behaves as
-/// unset. Read once and cached — the preconditioner must not flip between
-/// two solves of one process, or replay determinism would break.
-pub fn forced_precond() -> Option<PrecondKind> {
-    static CELL: OnceLock<Option<PrecondKind>> = OnceLock::new();
-    *CELL.get_or_init(|| match std::env::var("MSPCG_PRECOND") {
-        Ok(v) if !v.trim().is_empty() => {
-            let parsed = parse_precond(&v);
-            debug_assert!(
-                parsed.is_some(),
-                "MSPCG_PRECOND must be `mstep:M`, `ssor:M`, `chebyshev:K` or `newton:K`, got {v:?}"
-            );
-            parsed
-        }
-        _ => None,
-    })
 }
 
 #[cfg(test)]
@@ -427,149 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn thresholds_default_when_unset() {
-        // The test environment does not set the override variables, so the
-        // cached values must be the documented defaults (this also pins the
-        // read-once semantics: later env changes cannot shift layouts).
-        if std::env::var("MSPCG_PAR_MIN_ELEMS").is_err() {
-            assert_eq!(par_min_elems(), DEFAULT_PAR_MIN_ELEMS);
-        }
-        if std::env::var("MSPCG_PAR_MIN_NNZ").is_err() {
-            assert_eq!(par_min_nnz(), DEFAULT_PAR_MIN_NNZ);
-        }
-        if std::env::var("MSPCG_MIN_SPMV_CHUNK_NNZ").is_err() {
-            assert_eq!(min_spmv_chunk_nnz(), DEFAULT_MIN_SPMV_CHUNK_NNZ);
-        }
-        if std::env::var("MSPCG_AUDIT_PERIOD").is_err() {
-            assert_eq!(audit_period(), DEFAULT_AUDIT_PERIOD);
-        }
-    }
-
-    #[test]
-    fn parse_switch_accepts_known_names_and_rejects_garbage() {
-        assert_eq!(parse_switch("1"), Some(true));
-        assert_eq!(parse_switch(" TRUE "), Some(true));
-        assert_eq!(parse_switch("on"), Some(true));
-        assert_eq!(parse_switch("yes"), Some(true));
-        assert_eq!(parse_switch("0"), Some(false));
-        assert_eq!(parse_switch("False"), Some(false));
-        assert_eq!(parse_switch("OFF"), Some(false));
-        assert_eq!(parse_switch("no"), Some(false));
-        assert_eq!(parse_switch("2"), None);
-        assert_eq!(parse_switch(""), None);
-        assert_eq!(parse_switch("enabled"), None);
-    }
-
-    #[test]
-    fn parse_format_accepts_known_names_and_rejects_garbage() {
-        assert_eq!(parse_format("csr"), Some(MatrixFormat::Csr));
-        assert_eq!(parse_format(" CSR "), Some(MatrixFormat::Csr));
-        assert_eq!(parse_format("SELLCS"), Some(MatrixFormat::SellCs));
-        assert_eq!(parse_format("sell-c-sigma"), Some(MatrixFormat::SellCs));
-        assert_eq!(parse_format("sell"), Some(MatrixFormat::SellCs));
-        // Unknown names must be rejected (forced_format then debug-asserts
-        // and falls back to the heuristic instead of silently accepting).
-        assert_eq!(parse_format("ellpack"), None);
-        assert_eq!(parse_format(""), None);
-        assert_eq!(parse_format("csr,sellcs"), None);
-    }
-
-    #[test]
-    fn parse_variant_accepts_known_names_and_rejects_garbage() {
-        assert_eq!(parse_variant("classic"), Some(PcgVariant::Classic));
-        assert_eq!(parse_variant(" Classic "), Some(PcgVariant::Classic));
-        assert_eq!(
-            parse_variant("single_reduction"),
-            Some(PcgVariant::SingleReduction)
-        );
-        assert_eq!(
-            parse_variant("SINGLE-REDUCTION"),
-            Some(PcgVariant::SingleReduction)
-        );
-        assert_eq!(parse_variant("sr"), Some(PcgVariant::SingleReduction));
-        assert_eq!(parse_variant("pipelined"), Some(PcgVariant::Pipelined));
-        assert_eq!(parse_variant(" Pipelined "), Some(PcgVariant::Pipelined));
-        assert_eq!(parse_variant("gv"), Some(PcgVariant::Pipelined));
-        assert_eq!(parse_variant("ghysels"), None);
-        assert_eq!(parse_variant(""), None);
-        assert_eq!(parse_variant("auto"), None); // Auto is the absence of a pin
-    }
-
-    #[test]
-    fn parse_variant_validates_sstep_width() {
-        assert_eq!(parse_variant("sstep:2"), Some(PcgVariant::SStep { s: 2 }));
-        assert_eq!(parse_variant(" SStep:4 "), Some(PcgVariant::SStep { s: 4 }));
-        assert_eq!(
-            parse_variant("sstep:16"),
-            Some(PcgVariant::SStep { s: MAX_SSTEP_S })
-        );
-        // Pathological widths fall back to the default (via the
-        // forced_pcg_variant debug assertion), exactly like MSPCG_THREADS:
-        // s = 0 is empty, s = 1 is the single-reduction iteration with
-        // extra overhead, and an absurd s is a misconfiguration.
-        assert_eq!(parse_variant("sstep:0"), None);
-        assert_eq!(parse_variant("sstep:1"), None);
-        assert_eq!(parse_variant("sstep:17"), None);
-        assert_eq!(parse_variant("sstep:1000000"), None);
-        assert_eq!(parse_variant("sstep:-4"), None);
-        assert_eq!(parse_variant("sstep:two"), None);
-        assert_eq!(parse_variant("sstep:"), None);
-        assert_eq!(parse_variant("sstep"), None);
-        // Only sstep takes a parameter; parameterizing the others is
-        // garbage, not a partial match.
-        assert_eq!(parse_variant("pipelined:2"), None);
-        assert_eq!(parse_variant("classic:1"), None);
-    }
-
-    #[test]
-    fn parse_precond_accepts_known_pairs_and_rejects_garbage() {
-        assert_eq!(
-            parse_precond("mstep:3"),
-            Some(PrecondKind::MStepSsor { m: 3 })
-        );
-        assert_eq!(
-            parse_precond(" SSOR:2 "),
-            Some(PrecondKind::MStepSsor { m: 2 })
-        );
-        assert_eq!(
-            parse_precond("chebyshev:4"),
-            Some(PrecondKind::Poly {
-                kind: PolyKind::Chebyshev,
-                degree: 4
-            })
-        );
-        assert_eq!(parse_precond("Cheby:1"), parse_precond("chebyshev:1"));
-        assert_eq!(
-            parse_precond("newton:6"),
-            Some(PrecondKind::Poly {
-                kind: PolyKind::Newton,
-                degree: 6
-            })
-        );
-        // Garbage: unknown names, missing/zero/negative degrees, bare
-        // names without a count (forced_precond then debug-asserts and
-        // falls back to Auto instead of silently accepting).
-        assert_eq!(parse_precond("jacobi:2"), None);
-        assert_eq!(parse_precond("chebyshev"), None);
-        assert_eq!(parse_precond("chebyshev:0"), None);
-        assert_eq!(parse_precond("newton:-1"), None);
-        assert_eq!(parse_precond("mstep:two"), None);
-        assert_eq!(parse_precond(""), None);
-        assert_eq!(parse_precond("auto"), None); // Auto is the absence of a pin
-                                                 // Absurd parameters are rejected like 0 — the same validation the
-                                                 // sstep:S width gets (satellite of the s-step PR).
-        assert_eq!(
-            parse_precond("chebyshev:64"),
-            Some(PrecondKind::Poly {
-                kind: PolyKind::Chebyshev,
-                degree: MAX_PRECOND_PARAM
-            })
-        );
-        assert_eq!(parse_precond("chebyshev:65"), None);
-        assert_eq!(parse_precond("mstep:1000000"), None);
-    }
-
-    #[test]
     fn precond_resolution_never_returns_auto() {
         // Pinned selections pass through untouched.
         assert_eq!(
@@ -581,52 +220,33 @@ mod tests {
             degree: 5,
         };
         assert_eq!(poly.resolve(1, 1), poly);
-        // Auto honors the cached environment pin; with no pin the
-        // barrier-cost heuristic picks the flop-equivalent Chebyshev
+        // The barrier-cost heuristic picks the flop-equivalent Chebyshev
         // polynomial for multicolor matrices and m-step SSOR for
         // single-color ones.
-        let resolved = PrecondKind::Auto.resolve(4, 3);
-        assert_ne!(resolved, PrecondKind::Auto);
-        if forced_precond().is_none() {
-            assert_eq!(
-                resolved,
-                PrecondKind::Poly {
-                    kind: PolyKind::Chebyshev,
-                    degree: 6
-                }
-            );
-            assert_eq!(
-                PrecondKind::Auto.resolve(1, 2),
-                PrecondKind::MStepSsor { m: 2 }
-            );
-        }
+        assert_eq!(
+            PrecondKind::Auto.resolve(4, 3),
+            PrecondKind::Poly {
+                kind: PolyKind::Chebyshev,
+                degree: 6
+            }
+        );
+        assert_eq!(
+            PrecondKind::Auto.resolve(1, 2),
+            PrecondKind::MStepSsor { m: 2 }
+        );
     }
 
     #[test]
     fn variant_resolution_never_returns_auto() {
+        assert_eq!(PcgVariant::Auto.resolve(), Ok(PcgVariant::Classic));
         for v in [
-            PcgVariant::Auto,
             PcgVariant::Classic,
             PcgVariant::SingleReduction,
             PcgVariant::Pipelined,
-            PcgVariant::SStep { s: 4 },
+            PcgVariant::SStep { s: 2 },
+            PcgVariant::SStep { s: MAX_SSTEP_S },
         ] {
-            assert_ne!(v.resolve(), PcgVariant::Auto);
+            assert_eq!(v.resolve(), Ok(v));
         }
-        assert_eq!(PcgVariant::Classic.resolve(), PcgVariant::Classic);
-        assert_eq!(
-            PcgVariant::SingleReduction.resolve(),
-            PcgVariant::SingleReduction
-        );
-        assert_eq!(PcgVariant::Pipelined.resolve(), PcgVariant::Pipelined);
-        assert_eq!(
-            PcgVariant::SStep { s: 2 }.resolve(),
-            PcgVariant::SStep { s: 2 }
-        );
-        // Auto honors the cached environment pin (classic when unset).
-        assert_eq!(
-            PcgVariant::Auto.resolve(),
-            forced_pcg_variant().unwrap_or(PcgVariant::Classic)
-        );
     }
 }

@@ -21,7 +21,7 @@
 //! (axpy, xpby, …) write disjoint chunks and are trivially deterministic.
 //! Large inputs run on the `mspcg-sparse` worker pool (behind the `par`
 //! feature); small inputs take the serial path (see
-//! [`crate::tuning::par_min_elems`]).
+//! [`crate::tuning::PAR_MIN_ELEMS`]).
 
 use crate::par;
 use crate::tuning;
@@ -56,7 +56,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     let n = x.len();
     let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         let mut acc = 0.0;
         for c in 0..nchunks {
@@ -86,7 +86,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// Distribute an elementwise update over the fixed chunk layout.
 #[inline]
 fn elementwise(n: usize, y: &mut [f64], body: impl Fn(usize, usize, &mut [f64]) + Sync) {
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     let (chunk, nchunks) = par::reduction_layout(n);
     if threads <= 1 {
         for c in 0..nchunks {
@@ -164,7 +164,7 @@ pub fn zero(x: &mut [f64]) {
 #[inline]
 fn max_reduce(n: usize, chunk_max: impl Fn(usize, usize) -> f64 + Sync) -> f64 {
     let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         let mut m = 0.0f64;
         for c in 0..nchunks {
@@ -219,7 +219,7 @@ pub fn norm2_with_max(x: &[f64], maxabs: f64) -> f64 {
         }
         s
     };
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     let mut s = 0.0;
     if threads <= 1 {
         for c in 0..nchunks {
@@ -387,7 +387,7 @@ pub fn fused_axpy_axpy_norm(
     assert_eq!(u.len(), n, "fused_axpy_axpy_norm: u length mismatch");
     assert_eq!(r.len(), n, "fused_axpy_axpy_norm: r length mismatch");
     let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         let mut out = FusedUpdateNorms::default();
         for c in 0..nchunks {
@@ -469,7 +469,7 @@ pub fn fused_xpby_dot(x: &[f64], b: f64, y: &mut [f64], w: &[f64]) -> f64 {
             }
         }
     };
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         let mut acc = 0.0;
         for c in 0..nchunks {
@@ -536,7 +536,7 @@ pub fn fused_xpby_xpby(x1: &[f64], x2: &[f64], b: f64, y1: &mut [f64], y2: &mut 
             }
         }
     };
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         for c in 0..nchunks {
             let lo = c * chunk;
@@ -584,7 +584,7 @@ pub fn fused_axpy2(a: f64, x1: &[f64], y1: &mut [f64], x2: &[f64], y2: &mut [f64
             *yi += a * xi;
         }
     };
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         for c in 0..nchunks {
             let lo = c * chunk;
@@ -639,7 +639,7 @@ pub fn fused_xpby_xpby_dot(x1: &[f64], x2: &[f64], b: f64, y1: &mut [f64], y2: &
         }
         dot_chunk(y1c, y2c)
     };
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         let mut acc = 0.0;
         for c in 0..nchunks {
@@ -761,7 +761,7 @@ pub fn fused_dot3_norm(
     let norm_degenerate = r_maxabs == 0.0 || !r_maxabs.is_finite();
     let inv_rmax = if norm_degenerate { 0.0 } else { 1.0 / r_maxabs };
     let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     let (rz, wz, ps, sq) = if threads <= 1 {
         let mut acc = (0.0, 0.0, 0.0, 0.0);
         for c in 0..nchunks {
@@ -860,7 +860,7 @@ pub fn fused_poly_seed(scale: f64, inv_diag: &[f64], r: &[f64], z: &mut [f64], d
     assert_eq!(z.len(), n, "fused_poly_seed: z length mismatch");
     assert_eq!(d.len(), n, "fused_poly_seed: d length mismatch");
     let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         for c in 0..nchunks {
             let lo = c * chunk;
@@ -942,7 +942,7 @@ pub fn fused_poly_step(
     assert_eq!(d.len(), n, "fused_poly_step: d length mismatch");
     assert_eq!(z.len(), n, "fused_poly_step: z length mismatch");
     let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         for c in 0..nchunks {
             let lo = c * chunk;
@@ -1029,7 +1029,7 @@ pub fn fused_cheb_basis(
     assert_eq!(w.len(), n, "fused_cheb_basis: w length mismatch");
     assert_eq!(out.len(), n, "fused_cheb_basis: out length mismatch");
     let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
+    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
     if threads <= 1 {
         for c in 0..nchunks {
             let lo = c * chunk;
@@ -1421,7 +1421,7 @@ mod tests {
     #[test]
     fn fused_dot3_norm_is_thread_count_insensitive() {
         let _guard = crate::par::thread_sweep_lock();
-        let n = crate::tuning::par_min_elems() + 777;
+        let n = crate::tuning::PAR_MIN_ELEMS + 777;
         let mk = |a: usize, m: usize, s: f64| -> Vec<f64> {
             (0..n).map(|i| ((i * a + 1) % m) as f64 * s - 0.5).collect()
         };
@@ -1454,7 +1454,7 @@ mod tests {
     #[test]
     fn reductions_are_thread_count_insensitive() {
         let _guard = crate::par::thread_sweep_lock();
-        let n = crate::tuning::par_min_elems() + 4321;
+        let n = crate::tuning::PAR_MIN_ELEMS + 4321;
         let x: Vec<f64> = (0..n)
             .map(|i| ((i * 31 + 7) % 1013) as f64 * 1e-3 - 0.5)
             .collect();

@@ -7,8 +7,7 @@
 //! across formats. This example
 //!
 //! 1. solves a red/black Poisson system through CSR, SELL-C-σ and the
-//!    automatic dispatcher (`AutoOp`, overridable with
-//!    `MSPCG_FORCE_FORMAT=csr|sellcs`) and verifies the runs replay
+//!    automatic dispatcher (`AutoOp`) and verifies the runs replay
 //!    bitwise,
 //! 2. times CSR against SELL-C-σ on a wide-row "arrow" matrix — the
 //!    row-length-irregular family the sliced, sorted layout exists for —

@@ -92,12 +92,10 @@
 //!   denominator, or — pipelined — a nonpositive carried `γ′`) every
 //!   entry point falls back to the classic loop — serial solves continue
 //!   from the current iterate, the SPMD solver reruns the solve.
-//!   Selection: `PcgOptions::variant` / `ParallelSolverOptions::variant`,
-//!   with the validated
-//!   `MSPCG_PCG_VARIANT=classic|single_reduction|pipelined|sstep:S`
-//!   environment override resolving the `Auto` default; CI runs the
-//!   whole suite once under `single_reduction`, once under `pipelined`
-//!   and once under `sstep:4`.
+//!   Selection: `PcgOptions::variant` / `ParallelSolverOptions::variant`
+//!   (`Auto` resolves to classic; an s-step width outside `2..=16` is a
+//!   typed error). `tests/variant_conformance.rs` and
+//!   `tests/edge_cases.rs` run every variant explicitly.
 //! * **Pipelined (Ghysels–Vanroose) variant** — the single-reduction
 //!   schedule still *blocks* at its one reduction barrier.
 //!   `PcgVariant::Pipelined` carries two more recurrence vectors
@@ -157,14 +155,11 @@
 //!   overlap window pays one input-finalization barrier) are pinned by
 //!   counter tests at every variant. Selection:
 //!   `PrecondKind::{Auto, MStepSsor, Poly}` on the auto constructors
-//!   (`core::poly::auto_preconditioner`, `ParallelMStepPcg::auto`) with
-//!   the validated `MSPCG_PRECOND=mstep:M|ssor:M|chebyshev:K|newton:K`
-//!   env override; the `Auto` heuristic picks the polynomial at matched
-//!   flops (degree `2m` ≈ `m` sweeps) whenever `2C−1 > 2`, i.e. for
-//!   every genuinely multicolor matrix. The `par-poly` CI job runs the
-//!   whole suite under `chebyshev:4` × 4 threads, and `BENCH_pr8.json`
-//!   records iterations / barriers / wall time of degree-`k` vs m-step
-//!   at matched flops.
+//!   (`core::poly::auto_preconditioner`, `ParallelMStepPcg::auto`); the
+//!   `Auto` heuristic picks the polynomial at matched flops (degree `2m`
+//!   ≈ `m` sweeps) whenever `2C−1 > 2`, i.e. for every genuinely
+//!   multicolor matrix. `BENCH_pr8.json` records iterations / barriers /
+//!   wall time of degree-`k` vs m-step at matched flops.
 //! * **Operator abstraction + SELL-C-σ** — every solver entry point
 //!   (`pcg_solve_into`, `pcg_solve_multi`, the SPMD `ParallelMStepPcg`,
 //!   the splitting/preconditioner constructors) is generic over
@@ -174,18 +169,16 @@
 //!   sort window σ) for wide/irregular rows — ~1.3–1.6× CSR throughput on
 //!   the arrow-matrix family (`BENCH_pr3.json`) with bitwise-identical
 //!   products and solver runs. `AutoOp` picks the format from the row
-//!   shape (longest row ≥ 4× mean, padding ≤ 50 %); the
-//!   `MSPCG_FORCE_FORMAT` env var pins it, and CI runs the whole suite
-//!   once under `MSPCG_FORCE_FORMAT=sellcs`. Future formats (blocked CSR,
-//!   NUMA-partitioned) implement one trait and drop in.
+//!   shape (longest row ≥ 4× mean, padding ≤ 50 %); constructing a
+//!   `CsrMatrix` or `SellCsMatrix` directly pins it. Future formats
+//!   (blocked CSR, NUMA-partitioned) implement one trait and drop in.
 //! * **nnz-weighted SpMV chunking** — parallel SpMV splits rows at
 //!   `row_ptr` prefix-sum boundaries (`par::spmv_layout`), so a run of
 //!   dense-ish rows on an irregular FEM matrix cannot serialize the pool;
 //!   layouts stay thread-count independent. The multicolor SSOR color
 //!   sweeps chunk the same way (`par::spmv_chunk_rows_range` within each
-//!   color block). All thresholds live in `mspcg::sparse::tuning` with
-//!   validated `MSPCG_PAR_MIN_ELEMS` / `MSPCG_PAR_MIN_NNZ` /
-//!   `MSPCG_MIN_SPMV_CHUNK_NNZ` overrides.
+//!   color block). All thresholds are compile-time constants in
+//!   `mspcg::sparse::tuning`.
 //! * **Adaptive fallback** — small kernels run serially; a
 //!   `--no-default-features` build is strictly serial with identical
 //!   results.
@@ -222,10 +215,9 @@
 //!   the unaudited run (an audit that finds no drift only observes).
 //!   Policy: `RecoveryPolicy` on `PcgOptions` / `ParallelSolverOptions`
 //!   (`Auto` enables auditing for the drift-prone single-reduction and
-//!   pipelined recurrences at tolerances ≤ 1e-11), with validated
-//!   `MSPCG_RESIDUAL_REPLACEMENT=0|1` / `MSPCG_AUDIT_PERIOD=n` env
-//!   overrides; the `par-recovery` CI job runs the whole suite under
-//!   forced replacement + pipelined + 4 threads.
+//!   pipelined recurrences at tolerances ≤ 1e-11; `audit_period: 0`
+//!   means every 32 iterations). `tests/variant_conformance.rs` runs
+//!   every variant with `RecoveryPolicy::on()` as well as `off()`.
 //! * **Recovery ladder** — a non-finite reduction scalar (or an audit
 //!   divergence in a recurrence schedule) walks SStep → Pipelined →
 //!   SingleReduction → Classic: the recurrence rungs are *detectors*

@@ -2,11 +2,39 @@
 //!
 //! Each file under `tests/` compiles as its own crate, so this module is
 //! pulled in per binary via `mod common;` — one implementation of the
-//! deterministic xorshift generator instead of a drifting copy per test.
+//! deterministic xorshift generator and one list of PCG variants instead
+//! of a drifting copy per test.
 
 // Each test binary uses a subset of the helpers; the unused remainder is
 // expected, not dead weight to warn about.
 #![allow(dead_code)]
+
+use mspcg::sparse::PcgVariant;
+
+/// Every pinned variant the harnesses cover. The s-step schedule is
+/// exercised at two block sizes — block granularity (convergence is only
+/// checked every `s` iterations) is why iteration counts are compared
+/// with a slack, not an equality.
+pub const ALL_VARIANTS: [PcgVariant; 5] = [
+    PcgVariant::Classic,
+    PcgVariant::SingleReduction,
+    PcgVariant::Pipelined,
+    PcgVariant::SStep { s: 2 },
+    PcgVariant::SStep { s: 4 },
+];
+
+/// Compile-time exhaustiveness guard: a new `PcgVariant` entry makes this
+/// `match` non-exhaustive, failing the build until the variant is added
+/// to [`ALL_VARIANTS`] (Auto resolves to classic, it is not a schedule).
+fn exhaustiveness_guard(v: PcgVariant) {
+    match v {
+        PcgVariant::Auto
+        | PcgVariant::Classic
+        | PcgVariant::SingleReduction
+        | PcgVariant::Pipelined
+        | PcgVariant::SStep { .. } => {}
+    }
+}
 
 /// Deterministic xorshift64 stream (the in-repo property-test generator).
 pub struct Rng(u64);

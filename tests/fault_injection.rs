@@ -39,15 +39,8 @@ use mspcg::fem::poisson::poisson5;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
 use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, SparseOp};
 
-/// Every variant the harness covers (kept in sync with
-/// `variant_conformance.rs`, whose compile-time guard covers the enum).
-const ALL_VARIANTS: [PcgVariant; 5] = [
-    PcgVariant::Classic,
-    PcgVariant::SingleReduction,
-    PcgVariant::Pipelined,
-    PcgVariant::SStep { s: 2 },
-    PcgVariant::SStep { s: 4 },
-];
+mod common;
+use common::ALL_VARIANTS;
 
 /// Stopping tolerance of the NaN cells.
 const TOL: f64 = 1e-8;

@@ -174,21 +174,34 @@ fn preconditioner_applications_match_iteration_count() {
     let ord = asm.multicolor().unwrap();
     let m = 3usize;
     let pre = MStepSsorPreconditioner::unparametrized(&ord.matrix, &ord.colors, m).unwrap();
-    let sol = pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts(1e-8)).unwrap();
     // One application per iteration plus the initial one (±1 at the
     // convergence boundary), each of m steps. The s-step schedule builds
     // its whole s-vector Chebyshev basis up front (one application per
     // basis vector), so a block that converges mid-way leaves up to
     // `s − 1` applications beyond the counted iterations.
-    let slack = match PcgVariant::Auto.resolve() {
-        PcgVariant::SStep { s } => s + 1,
-        _ => 2,
-    };
-    let apps = sol.stats.precond_applications;
-    assert!(
-        apps >= sol.iterations && apps <= sol.iterations + slack,
-        "{apps} applications over {} iterations",
-        sol.iterations
-    );
-    assert_eq!(sol.stats.precond_steps, apps * m);
+    for variant in [
+        PcgVariant::Auto,
+        PcgVariant::Classic,
+        PcgVariant::SingleReduction,
+        PcgVariant::Pipelined,
+        PcgVariant::SStep { s: 2 },
+        PcgVariant::SStep { s: 4 },
+    ] {
+        let o = PcgOptions {
+            variant,
+            ..opts(1e-8)
+        };
+        let sol = pcg_solve(&ord.matrix, &ord.rhs, &pre, &o).unwrap();
+        let slack = match variant {
+            PcgVariant::SStep { s } => s + 1,
+            _ => 2,
+        };
+        let apps = sol.stats.precond_applications;
+        assert!(
+            apps >= sol.iterations && apps <= sol.iterations + slack,
+            "{variant:?}: {apps} applications over {} iterations",
+            sol.iterations
+        );
+        assert_eq!(sol.stats.precond_steps, apps * m);
+    }
 }

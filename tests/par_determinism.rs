@@ -10,7 +10,7 @@ use mspcg::core::pcg::{pcg_solve_into, PcgOptions, PcgWorkspace};
 use mspcg::core::splitting::Splitting;
 use mspcg::core::ssor::MulticolorSsor;
 use mspcg::fem::poisson::poisson5;
-use mspcg::sparse::{par, vecops, AutoOp, CsrMatrix, Partition, SellCsMatrix};
+use mspcg::sparse::{par, vecops, AutoOp, CsrMatrix, MatrixFormat, Partition, SellCsMatrix};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// The thread budget is process global; sweep one test at a time.
@@ -237,15 +237,17 @@ fn full_pcg_solve_bitwise_under_both_formats() {
     par::set_max_threads(before);
 }
 
-/// `AutoOp` is the env-sensitive dispatcher: under
-/// `MSPCG_FORCE_FORMAT=sellcs` (the CI override job) this whole test file
-/// exercises the SELL path through the solver stack; the result must be
-/// bitwise identical to the explicit CSR run either way.
+/// `AutoOp` keeps CSR for the regular rows of the Poisson stencil, and its
+/// solve must be bitwise identical to the explicit CSR run. The SELL path
+/// through the solver stack is pinned explicitly by
+/// `full_pcg_solve_bitwise_under_both_formats` above and by the format
+/// axis of `tests/variant_conformance.rs`.
 #[test]
 fn auto_format_solve_matches_csr_bitwise() {
     let _guard = sweep_lock();
     let (matrix, colors, rhs) = ordered_poisson(96);
     let auto = AutoOp::from_csr(matrix.clone());
+    assert_eq!(auto.format(), MatrixFormat::Csr);
     let pre_csr = MStepSsorPreconditioner::unparametrized(&matrix, &colors, 2).unwrap();
     let pre_auto = MStepSsorPreconditioner::unparametrized_op(&auto, &colors, 2).unwrap();
     let opts = PcgOptions {

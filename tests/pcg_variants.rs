@@ -279,9 +279,9 @@ fn pipelined_breakdown_falls_back_from_current_iterate_and_reports_fallback() {
     );
 }
 
-/// SPMD solver: the `MSPCG_PCG_VARIANT`-style selection through the
-/// options struct agrees with the serial solvers, and the report's
-/// counters expose the schedule.
+/// SPMD solver: the variant selection through the options struct agrees
+/// with the serial solvers, and the report's counters expose the
+/// schedule.
 #[test]
 fn spmd_single_reduction_agrees_with_serial_and_reports_counters() {
     let (a, colors) = ordered_plate(8);
@@ -299,7 +299,7 @@ fn spmd_single_reduction_agrees_with_serial_and_reports_counters() {
                 max_iterations: 10_000,
                 variant: PcgVariant::SingleReduction,
                 // Pin the exact schedule: the barrier-count assertion
-                // below must not absorb audit phases from env overrides.
+                // below must not absorb audit phases.
                 recovery: mspcg::core::recovery::RecoveryPolicy::off(),
             },
         )

@@ -15,45 +15,25 @@
 //!   every cell stays within [`ITER_SLACK`] of the serial classic CSR
 //!   baseline of its family.
 //!
+//! Every cell runs with the default recovery policy and again with
+//! residual auditing + replacement forced on ([`RecoveryPolicy::on`] at a
+//! short audit period): a clean solve must absorb the audit phases on
+//! every variant and executor.
+//!
 //! A future variant inherits the whole matrix by adding one entry to
-//! [`ALL_VARIANTS`]: the closed `match` in `exhaustiveness_guard` refuses
-//! to compile until the new enum entry is listed, so the coverage cannot
-//! silently lag the enum.
+//! `common::ALL_VARIANTS`: the closed `match` in its exhaustiveness guard
+//! refuses to compile until the new enum entry is listed, so the coverage
+//! cannot silently lag the enum.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::pcg::{pcg_solve, PcgOptions, PcgVariant, StoppingCriterion};
 use mspcg::core::poly::PolynomialPreconditioner;
+use mspcg::core::recovery::{RecoveryPolicy, Toggle};
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::fem::poisson::poisson5;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
 use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, SellCsMatrix};
-
-/// Every variant the harness covers. The s-step schedule is exercised at
-/// two block sizes — block granularity (convergence is only checked every
-/// `s` iterations) is why [`ITER_SLACK`] is phrased as a slack, not an
-/// equality.
-const ALL_VARIANTS: [PcgVariant; 5] = [
-    PcgVariant::Classic,
-    PcgVariant::SingleReduction,
-    PcgVariant::Pipelined,
-    PcgVariant::SStep { s: 2 },
-    PcgVariant::SStep { s: 4 },
-];
-
-/// Compile-time exhaustiveness guard: a new `PcgVariant` entry makes this
-/// `match` non-exhaustive, failing the build until the variant is added
-/// to [`ALL_VARIANTS`] (Auto is the absence of a pin, not a schedule).
-#[allow(dead_code)]
-fn exhaustiveness_guard(v: PcgVariant) {
-    match v {
-        PcgVariant::Auto
-        | PcgVariant::Classic
-        | PcgVariant::SingleReduction
-        | PcgVariant::Pipelined
-        | PcgVariant::SStep { .. } => {}
-    }
-}
 
 /// The paper's displacement test, common to the serial and SPMD solvers.
 const TOL: f64 = 1e-8;
@@ -63,7 +43,7 @@ const RES_BOUND: f64 = 1e-6;
 const ITER_SLACK: isize = 10;
 
 mod common;
-use common::Rng;
+use common::{Rng, ALL_VARIANTS};
 
 /// One test family: a color-blocked SPD system plus its preconditioner
 /// depth.
@@ -141,6 +121,33 @@ fn families() -> Vec<Family> {
     vec![plate, poisson, arrow]
 }
 
+/// Audit period of the recovery-on cells: short enough that every
+/// family's solve crosses several audits.
+const AUDIT_PERIOD: usize = 4;
+
+/// Residual auditing + replacement forced on, at [`AUDIT_PERIOD`].
+fn audited() -> RecoveryPolicy {
+    RecoveryPolicy {
+        audit_period: AUDIT_PERIOD,
+        ..RecoveryPolicy::on()
+    }
+}
+
+/// Every variant, under the default recovery policy and under [`audited`].
+fn variant_policies() -> impl Iterator<Item = (PcgVariant, RecoveryPolicy)> {
+    ALL_VARIANTS
+        .into_iter()
+        .flat_map(|v| [(v, RecoveryPolicy::default()), (v, audited())])
+}
+
+/// A recovery-on solve long enough to reach two audit points must have
+/// audited at least once, so the axis cannot pass vacuously.
+fn check_audits(recovery: &RecoveryPolicy, audits: usize, iterations: usize) {
+    if recovery.replacement == Toggle::On && iterations > 2 * recovery.period() {
+        assert!(audits > 0, "{iterations} iterations without an audit");
+    }
+}
+
 /// TRUE relative residual of an iterate (recomputed, not recursive).
 fn true_residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
     let mut r = b.to_vec();
@@ -203,23 +210,26 @@ fn every_variant_conforms_across_executors_families_and_formats() {
             );
         };
 
-        for variant in ALL_VARIANTS {
+        for (variant, recovery) in variant_policies() {
+            let policy = recovery.replacement;
             let serial_opts = PcgOptions {
                 tol: TOL,
                 criterion: StoppingCriterion::DisplacementChange,
                 variant,
+                recovery,
                 ..Default::default()
             };
             // Serial executor, both storage formats. The solvers are
             // generic over `SparseOp`; the preconditioner sees identical
             // structure either way.
             {
-                let label = format!("{}/serial/csr/{variant:?}", family.name);
+                let label = format!("{}/serial/csr/{variant:?}/{policy:?}", family.name);
                 let (_, iters) = run_cell(
                     &label,
                     &mut || {
                         let s = pcg_solve(a, &b, &pre, &serial_opts).expect("serial csr");
                         assert!(s.converged);
+                        check_audits(&recovery, s.stats.audits, s.iterations);
                         (s.x, s.iterations)
                     },
                     a,
@@ -228,12 +238,13 @@ fn every_variant_conforms_across_executors_families_and_formats() {
                 check_iters(&label, iters);
             }
             {
-                let label = format!("{}/serial/sellcs/{variant:?}", family.name);
+                let label = format!("{}/serial/sellcs/{variant:?}/{policy:?}", family.name);
                 let (_, iters) = run_cell(
                     &label,
                     &mut || {
                         let s = pcg_solve(&sell, &b, &pre, &serial_opts).expect("serial sell");
                         assert!(s.converged);
+                        check_audits(&recovery, s.stats.audits, s.iterations);
                         (s.x, s.iterations)
                     },
                     a,
@@ -252,15 +263,17 @@ fn every_variant_conforms_across_executors_families_and_formats() {
                     tol: TOL,
                     max_iterations: 50_000,
                     variant,
-                    ..Default::default()
+                    recovery,
                 };
                 for (fmt, solver) in [("csr", &spmd_csr), ("sellcs", &spmd_sell)] {
-                    let label = format!("{}/spmd{threads}/{fmt}/{variant:?}", family.name);
+                    let label =
+                        format!("{}/spmd{threads}/{fmt}/{variant:?}/{policy:?}", family.name);
                     let (_, iters) = run_cell(
                         &label,
                         &mut || {
                             let rep = solver.solve(&b, &spmd_opts).expect("spmd");
                             assert!(rep.converged);
+                            check_audits(&recovery, rep.audits, rep.iterations);
                             (rep.x, rep.iterations)
                         },
                         a,
@@ -314,15 +327,17 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
             );
         };
 
-        for variant in ALL_VARIANTS {
+        for (variant, recovery) in variant_policies() {
+            let policy = recovery.replacement;
             let serial_opts = PcgOptions {
                 tol: TOL,
                 criterion: StoppingCriterion::DisplacementChange,
                 variant,
+                recovery,
                 ..Default::default()
             };
             for (fmt, op) in [("csr", None), ("sellcs", Some(&sell))] {
-                let label = format!("{}/serial/{fmt}/{variant:?}/poly", family.name);
+                let label = format!("{}/serial/{fmt}/{variant:?}/{policy:?}/poly", family.name);
                 let (_, iters) = run_cell(
                     &label,
                     &mut || {
@@ -332,6 +347,7 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
                         }
                         .expect("serial poly");
                         assert!(s.converged);
+                        check_audits(&recovery, s.stats.audits, s.iterations);
                         (s.x, s.iterations)
                     },
                     a,
@@ -345,15 +361,19 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
                     tol: TOL,
                     max_iterations: 50_000,
                     variant,
-                    ..Default::default()
+                    recovery,
                 };
                 for (fmt, solver) in [("csr", &spmd_csr), ("sellcs", &spmd_sell)] {
-                    let label = format!("{}/spmd{threads}/{fmt}/{variant:?}/poly", family.name);
+                    let label = format!(
+                        "{}/spmd{threads}/{fmt}/{variant:?}/{policy:?}/poly",
+                        family.name
+                    );
                     let (_, iters) = run_cell(
                         &label,
                         &mut || {
                             let rep = solver.solve(&b, &spmd_opts).expect("spmd poly");
                             assert!(rep.converged);
+                            check_audits(&recovery, rep.audits, rep.iterations);
                             (rep.x, rep.iterations)
                         },
                         a,
