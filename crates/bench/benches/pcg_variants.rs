@@ -1,14 +1,12 @@
-//! Classic vs single-reduction (Chronopoulos–Gear) vs pipelined
-//! (Ghysels–Vanroose) PCG on the Table-3 FEM family (the paper's
-//! plane-stress plates), serial and SPMD.
+//! Classic vs pipelined (Ghysels–Vanroose) PCG on the Table-3 FEM
+//! family (the paper's plane-stress plates), serial and SPMD.
 //!
-//! On this repo's single-core container the wall-clock gap between the
-//! variants is noise — the win is *synchronization*, so every record
-//! carries the counters that prove the schedule instead: `iterations`,
-//! `reductions_per_iter` (serial and SPMD; exactly 1 for
-//! single-reduction/pipelined, 2 for classic), `barriers_per_iter` (SPMD;
-//! pipelined `m·(2C−1)` vs single-reduction `m·(2C−1)+2` vs classic
-//! `m·(2C−1)+3`) and, for the pipelined schedule, `splits_per_iter` (one
+//! On one or two cores the wall-clock gap between the variants is close
+//! to the run-to-run spread — the win is *synchronization*, so every
+//! record also carries the counters that prove the schedule:
+//! `iterations`, `reductions_per_iter` (serial and SPMD; exactly 1 for
+//! pipelined, 2 for classic), `barriers_per_iter` (SPMD; pipelined
+//! `m·(2C−1)` vs classic `m·(2C−1)+3`) and `splits_per_iter` (one
 //! reduction *in flight* per iteration — initiated before the
 //! preconditioner + SpMV, consumed after). The counter claims are
 //! *asserted* here, not just recorded — a schedule regression fails the
@@ -27,17 +25,12 @@ use std::sync::Arc;
 
 fn variant_name(variant: PcgVariant) -> &'static str {
     match variant {
-        PcgVariant::SingleReduction => "single_reduction",
         PcgVariant::Pipelined => "pipelined",
         _ => "classic",
     }
 }
 
-const VARIANTS: [PcgVariant; 3] = [
-    PcgVariant::Classic,
-    PcgVariant::SingleReduction,
-    PcgVariant::Pipelined,
-];
+const VARIANTS: [PcgVariant; 2] = [PcgVariant::Classic, PcgVariant::Pipelined];
 
 /// Serial solver on one Table-3 plate: time the full solve, then replay
 /// once to harvest (and verify) the reduction-phase counters.
@@ -69,7 +62,7 @@ fn bench_serial(results: &mut Vec<BenchResult>, a: usize, m: usize) {
         let iters = rep.iterations as f64;
         let phases_per_iter = rep.stats.reduction_phases as f64 / iters;
         match variant {
-            PcgVariant::SingleReduction | PcgVariant::Pipelined => {
+            PcgVariant::Pipelined => {
                 // The acceptance counter: ONE fused reduction phase per
                 // iteration (+1 at init, −1 on the converging iteration).
                 // A pipelined run that hit the near-convergence fallback
@@ -129,22 +122,9 @@ fn bench_spmd(results: &mut Vec<BenchResult>, a: usize, m: usize, threads: usize
         let barriers_per_iter = rep.barrier_crossings as f64 / iters;
         let reductions_per_iter = rep.reduction_phases as f64 / iters;
         // Counter-verified schedules. (Plain CG, m = 0: the classic
-        // schedule still pays a z ← r copy phase; the single-reduction
-        // schedule reads r directly; the pipelined schedule pays one full
-        // barrier for the cross-strip K·w read.)
+        // schedule still pays a z ← r copy phase; the pipelined schedule
+        // pays one full barrier for the cross-strip K·w read.)
         match variant {
-            PcgVariant::SingleReduction => {
-                assert!(
-                    rep.barrier_crossings <= sweep + 1 + (rep.iterations - 1) * (sweep + 2) + 1,
-                    "{group}: {} crossings over {} iterations",
-                    rep.barrier_crossings,
-                    rep.iterations
-                );
-                assert_eq!(
-                    rep.reduction_phases, rep.iterations,
-                    "{group}: single-reduction must run ONE reduction phase per iteration"
-                );
-            }
             PcgVariant::Pipelined => {
                 // The acceptance schedule, asserted in-run: m·(2C−1) full
                 // barriers (m = 0: one) and ONE split crossing — the

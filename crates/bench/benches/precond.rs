@@ -9,8 +9,8 @@
 //! sweeps): single-application cost, bitwise thread-count determinism of
 //! the chunked chain, and the full SPMD solve — iterations × barriers ×
 //! wall time per variant, with the exact degree-`k` barrier formulas
-//! (classic `k+3`, single-reduction `k+2`, pipelined `k+1` per
-//! iteration) *asserted* in-run, not just recorded.
+//! (classic `k+3`, pipelined `k+1` per iteration) *asserted* in-run,
+//! not just recorded.
 //!
 //! Record results: `cargo bench -p mspcg-bench --bench precond -- --json
 //! BENCH_pr8.json` (PR 1 recorded the sweep-only groups as
@@ -183,13 +183,8 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
     let ssor = ParallelMStepPcg::new(&ord.matrix, &ord.colors, vec![1.0; m]).expect("spmd ssor");
     let poly = ParallelMStepPcg::poly(&ord.matrix, &ord.colors, PolyKind::Chebyshev, k)
         .expect("spmd poly");
-    for variant in [
-        PcgVariant::Classic,
-        PcgVariant::SingleReduction,
-        PcgVariant::Pipelined,
-    ] {
+    for variant in [PcgVariant::Classic, PcgVariant::Pipelined] {
         let vname = match variant {
-            PcgVariant::SingleReduction => "single_reduction",
             PcgVariant::Pipelined => "pipelined",
             _ => "classic",
         };
@@ -213,9 +208,6 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
                 // extra input-finalization barrier per overlap window).
                 let is_poly = matches!(solver.precond(), mspcg_sparse::PrecondKind::Poly { .. });
                 let expected = match variant {
-                    PcgVariant::SingleReduction => {
-                        msolve_cost + 1 + (i - 1) * (msolve_cost + 2) + 1
-                    }
                     PcgVariant::Pipelined => {
                         if is_poly {
                             (i + 2) * k + i + 1

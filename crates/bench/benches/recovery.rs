@@ -29,17 +29,12 @@ use std::sync::Arc;
 
 fn variant_name(variant: PcgVariant) -> &'static str {
     match variant {
-        PcgVariant::SingleReduction => "single_reduction",
         PcgVariant::Pipelined => "pipelined",
         _ => "classic",
     }
 }
 
-const VARIANTS: [PcgVariant; 3] = [
-    PcgVariant::Classic,
-    PcgVariant::SingleReduction,
-    PcgVariant::Pipelined,
-];
+const VARIANTS: [PcgVariant; 2] = [PcgVariant::Classic, PcgVariant::Pipelined];
 
 const AUDIT_PERIOD: usize = 4;
 
@@ -195,8 +190,7 @@ fn bench_spmd(results: &mut Vec<BenchResult>, a: usize, m: usize, threads: usize
         assert!(frep.converged, "{group}: faulted solve did not converge");
         let expect = match variant {
             PcgVariant::Classic => (1, 1, 0),
-            PcgVariant::SingleReduction => (2, 1, 1),
-            _ => (3, 1, 2),
+            _ => (2, 1, 1),
         };
         assert_eq!(
             (frep.faults_detected, frep.replacements, frep.recoveries),

@@ -1,13 +1,12 @@
 //! s-step (communication-avoiding) PCG sweep on the Table-3 FEM family:
-//! `s ∈ {2, 4}` against the classic / single-reduction / pipelined
-//! ladder, serial and SPMD.
+//! `s ∈ {2, 4}` against classic PCG, serial and SPMD.
 //!
-//! On this repo's single-core container the wall-clock gap is noise —
-//! the s-step win is *synchronization*, so every record carries the
-//! counters that prove the amortization instead: `reductions_per_iter`
-//! (≈ 1/s for the s-step schedule — ONE fused block-Gram phase per `s`
-//! iterations, no init phase — against 1 for single-reduction/pipelined
-//! and 2 for classic) and `barriers_per_iter` (SPMD; `s·m(2C−1) + 2s`
+//! On one or two cores the wall-clock gap is close to the run-to-run
+//! spread — the s-step win is *synchronization*, so every record also
+//! carries the counters that prove the amortization:
+//! `reductions_per_iter` (≈ 1/s for the s-step schedule — ONE fused
+//! block-Gram phase per `s` iterations, no init phase — against 1 for
+//! pipelined and 2 for classic) and `barriers_per_iter` (SPMD; `s·m(2C−1) + 2s`
 //! crossings per outer step amortize to `m(2C−1) + 2` per iteration,
 //! against classic's `m(2C−1) + 3`). The counter claims are *asserted*
 //! in-run, not just recorded — a schedule regression fails the bench.

@@ -37,8 +37,7 @@
 //! * [`recovery`] — fault injection ([`recovery::FaultyOp`],
 //!   [`recovery::FaultyPreconditioner`]), residual auditing with
 //!   replacement, and the [`recovery::RecoveryPolicy`] ladder that steps
-//!   Pipelined → SingleReduction → Classic on breakdown or detected
-//!   corruption.
+//!   SStep → Pipelined → Classic on breakdown or detected corruption.
 
 // Indexed `for i in 0..n` loops are deliberate throughout the numeric
 // kernels: they address several parallel arrays (CSR structure, split

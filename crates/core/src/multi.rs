@@ -682,12 +682,12 @@ mod tests {
                 kind: FaultKind::NaN,
             }],
         );
-        // SingleReduction has no same-rung restart for a poisoned scalar:
-        // it steps down the ladder to classic, which must finish the job.
+        // Pipelined has no same-rung restart for a poisoned scalar: it
+        // steps down the ladder to classic, which must finish the job.
         let opts = PcgOptions {
             tol: 1e-10,
             criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::SingleReduction,
+            variant: PcgVariant::Pipelined,
             ..Default::default()
         };
         let mut ws = MultiRhsWorkspace::new(32, 1);

@@ -23,31 +23,25 @@
 //! The classic loop above serializes its two inner products: `(p, Kp)`
 //! must finish before `α`, and `(r̂, r)` — available only after the
 //! preconditioner — before `β`. On a parallel machine each is a global
-//! synchronization point. [`PcgVariant::SingleReduction`] runs the
-//! **Chronopoulos–Gear** two-term recurrence instead: the iteration
-//! carries `s = Kp` and `w = Kz` and obtains *both* scalars from **one
-//! fused reduction phase** per iteration
-//! ([`vecops::fused_dot3_norm`]: `γ = (r, z)`, `δ = (w, z)`, plus the
-//! `(p, s)` breakdown guard and the stopping norm), with
-//! `β = γ′/γ` and `α = γ′ / (δ − β·γ′/α_old)`. The recurrence has a
-//! different-but-bounded rounding path, so the contract is: bitwise
-//! deterministic across thread counts *within* the variant, and
-//! classic-vs-single-reduction agreement to a relative-residual tolerance
-//! (`tests/pcg_variants.rs`). When the recurrence breaks down
-//! (`(p, s) ≤ 0` or a nonpositive reconstructed denominator) the solve
-//! **falls back to the classic loop from the current iterate** instead of
-//! erroring (recorded in [`PcgStats::fallbacks`]). Selection:
-//! [`PcgOptions::variant`] ([`PcgVariant::Auto`] resolves to classic).
-//!
-//! [`PcgVariant::Pipelined`] goes one synchronization step further
-//! (Ghysels–Vanroose): two extra recurrence carries (`q = M⁻¹s`, `K·q`)
-//! and two recomputed auxiliaries (`mv = M⁻¹w`, `nv = K·mv`) rearrange
-//! the iteration so the one fused reduction reads only vectors finished
-//! *before* the preconditioner + SpMV — on the SPMD executor the
-//! reduction is initiated (split-barrier arrive) before that heavy phase
-//! and consumed (wait) after it, hiding its latency entirely. Same
-//! breakdown-fallback contract, with stricter guards (see
-//! `pipelined_loop`).
+//! synchronization point. [`PcgVariant::Pipelined`] (Ghysels–Vanroose)
+//! carries `s = Kp`, `w = Kz`, `q = M⁻¹s` and `K·q` plus two recomputed
+//! auxiliaries (`mv = M⁻¹w`, `nv = K·mv`) and obtains *both* scalars
+//! from **one fused reduction phase** per iteration
+//! ([`vecops::fused_dot3_norm`]: `γ′ = (r, z)`, `δ = (w, z)`, plus the
+//! `(p, s)` breakdown guard and the stopping norm), with `β = γ′/γ` and
+//! `α = γ′ / (δ − β·γ′/α_old)`. The reduction reads only vectors
+//! finished *before* the preconditioner + SpMV — on the SPMD executor it
+//! is initiated (split-barrier arrive) before that heavy phase and
+//! consumed (wait) after it, hiding its latency entirely. The recurrence
+//! has a different-but-bounded rounding path, so the contract is:
+//! bitwise deterministic across thread counts *within* the variant, and
+//! classic-vs-pipelined agreement to a relative-residual tolerance
+//! (`tests/pcg_variants.rs`). When the recurrence breaks down (any
+//! nonpositive carried scalar or reconstructed denominator — see
+//! `pipelined_loop`) the solve **falls back to the classic loop from the
+//! current iterate** instead of erroring (recorded in
+//! [`PcgStats::fallbacks`]). Selection: [`PcgOptions::variant`]
+//! ([`PcgVariant::Auto`] resolves to classic).
 //!
 //! [`PcgVariant::SStep`] is the endpoint of the synchronization-count
 //! war: per *outer step* it builds an s-dimensional Krylov block with the
@@ -60,7 +54,7 @@
 //! block, Chronopoulos–Gear style) reproduces `s` classic iterations;
 //! in finite precision the basis can lose conditioning, so a breakdown
 //! (nonpositive Cholesky pivot, non-finite Gram scalar) steps down warm
-//! onto the Pipelined → SingleReduction → Classic ladder.
+//! onto the Pipelined → Classic ladder.
 //!
 //! Breakdown guards double as SPD validation: a nonpositive `(p, Kp)`
 //! reveals an indefinite `K`, a nonpositive `(r̂, r)` an indefinite `M`;
@@ -134,7 +128,7 @@ pub struct PcgStats {
     /// is one sweep (one synchronization point on a parallel machine)
     /// regardless of how many scalars it produces. The classic loop
     /// performs two serialized phases per iteration (`(p, Kp)`, then
-    /// `(r̂, r)`); the single-reduction variant performs **one**
+    /// `(r̂, r)`); the pipelined variant performs **one**
     /// ([`vecops::fused_dot3_norm`]). Stopping-test norms are not counted:
     /// their partials ride the update kernels' existing phase (the paper's
     /// flag network).
@@ -144,11 +138,11 @@ pub struct PcgStats {
     /// Total stationary steps inside the preconditioner
     /// (`applications × m`).
     pub precond_steps: usize,
-    /// Recovery-ladder steps: a single-reduction or pipelined attempt
-    /// whose guards fired (breakdown or detected corruption) handed the
-    /// current iterate one rung down
-    /// (Pipelined → SingleReduction → Classic) and this counter records
-    /// it — the report "says `FALLBACK`" instead of hiding the rescue.
+    /// Recovery-ladder steps: an s-step or pipelined attempt whose
+    /// guards fired (breakdown or detected corruption) handed the current
+    /// iterate one rung down (SStep → Pipelined → Classic) and this
+    /// counter records it — the report "says `FALLBACK`" instead of
+    /// hiding the rescue.
     pub fallbacks: usize,
     /// Residual audits performed: true-residual recomputations `f − K·u`
     /// (one extra SpMV each) compared against the recurrence residual.
@@ -201,10 +195,10 @@ pub struct PcgReport {
 /// Reusable scratch buffers for the PCG loop.
 ///
 /// Algorithm 1 needs four working vectors (`r`, `r̂`, `p`, `Kp`); the
-/// single-reduction variant carries one more (`w = Kz`; its second carried
-/// vector `s = Kp` reuses the `Kp` slot, which that recurrence updates
-/// instead of recomputing), and the pipelined variant four more (`q`,
-/// `K·q`, `mv = M⁻¹w`, `nv = K·mv`). The one-shot entry points ([`pcg_solve`],
+/// pipelined variant carries five more (`w = Kz`, `q`, `K·q`,
+/// `mv = M⁻¹w`, `nv = K·mv`; its carried `s = Kp` reuses the `Kp` slot,
+/// which that recurrence updates instead of recomputing). The one-shot
+/// entry points ([`pcg_solve`],
 /// [`pcg_solve_from`]) allocate them per call; repeated solves over
 /// systems of one size — the ω sweep, the condition scans, the Table 2/3
 /// m sweeps — should construct one `PcgWorkspace` and call
@@ -220,15 +214,13 @@ pub struct PcgWorkspace {
     rhat: Vec<f64>,
     p: Vec<f64>,
     kp: Vec<f64>,
-    /// `w = Kz` carry of the single-reduction variant (allocated up front
-    /// so variant selection can never reintroduce a per-solve
-    /// allocation).
+    /// `w = Kz` carry of the pipelined variant. The five pipelined-only
+    /// slots start **empty** (a classic workspace must not pay 5·n dead
+    /// floats) and are sized by the first pipelined solve — a
+    /// warm-up-once allocation, after which pipelined solves are as
+    /// allocation free as the rest.
     w: Vec<f64>,
-    /// `q = M⁻¹s` direction carry of the pipelined variant. The four
-    /// pipelined-only slots start **empty** (a classic or
-    /// single-reduction workspace must not pay 4·n dead floats) and are
-    /// sized by the first pipelined solve — a warm-up-once allocation,
-    /// after which pipelined solves are as allocation free as the rest.
+    /// `q = M⁻¹s` direction carry of the pipelined variant.
     q: Vec<f64>,
     /// `K·q` direction carry of the pipelined variant.
     zz: Vec<f64>,
@@ -274,7 +266,7 @@ impl PcgWorkspace {
             rhat: vec![0.0; n],
             p: vec![0.0; n],
             kp: vec![0.0; n],
-            w: vec![0.0; n],
+            w: Vec::new(),
             q: Vec::new(),
             zz: Vec::new(),
             mv: Vec::new(),
@@ -301,7 +293,6 @@ impl PcgWorkspace {
         self.rhat.resize(n, 0.0);
         self.p.resize(n, 0.0);
         self.kp.resize(n, 0.0);
-        self.w.resize(n, 0.0);
         // Pipelined-only and audit-only slots track the dimension only
         // once in use.
         if !self.q.is_empty() {
@@ -319,10 +310,11 @@ impl PcgWorkspace {
         self.sstep_interval = None;
     }
 
-    /// Size the four pipelined-only carries. Called by the first
+    /// Size the five pipelined-only carries. Called by the first
     /// pipelined solve on this workspace (allocates once); afterwards a
     /// no-op, keeping the hot loop allocation free.
     fn ensure_pipelined(&mut self, n: usize) {
+        self.w.resize(n, 0.0);
         self.q.resize(n, 0.0);
         self.zz.resize(n, 0.0);
         self.mv.resize(n, 0.0);
@@ -445,10 +437,9 @@ pub fn pcg_solve_from<A: SparseOp>(
 /// reduction partials are computed in a single pass per iteration instead
 /// of three to four, with bitwise-identical results to the unfused
 /// kernel sequence (`tests/par_determinism.rs`). With
-/// [`PcgOptions::variant`] set to [`PcgVariant::SingleReduction`] the
-/// Chronopoulos–Gear recurrence runs instead, collapsing the two
-/// serialized inner products into one [`vecops::fused_dot3_norm`]
-/// reduction phase per iteration (classic fallback on breakdown).
+/// [`PcgOptions::variant`] set to [`PcgVariant::Pipelined`] or
+/// [`PcgVariant::SStep`] a communication-avoiding recurrence runs
+/// instead (see [`pcg_try_solve_into`]).
 ///
 /// An undersized workspace is resized on entry (that path allocates once).
 ///
@@ -482,10 +473,12 @@ pub fn pcg_solve_into<A: SparseOp>(
 /// right-hand side cannot abort a whole batch.
 ///
 /// [`PcgOptions::variant`] selects the iteration: the classic two-dot
-/// loop, or the single-reduction Chronopoulos–Gear recurrence — which on
-/// breakdown (`(p, s) ≤ 0` or a nonpositive reconstructed denominator)
-/// **falls back to the classic loop from the current iterate**, counting
-/// the iterations already spent against the same budget.
+/// loop, the pipelined recurrence (one overlappable reduction phase per
+/// iteration), or the s-step block recurrence (one Gram reduction phase
+/// per `s` iterations). A recurrence that breaks down or detects
+/// corruption **steps down the ladder from the current iterate**
+/// (SStep → Pipelined → Classic), counting the iterations already spent
+/// against the same budget.
 ///
 /// # Errors
 /// Shape violations, invalid options and inner-product breakdowns only.
@@ -568,8 +561,7 @@ pub fn pcg_try_solve_into<A: SparseOp>(
     // performed against the shared budget:
     // * `Done` — the rung produced a final report;
     // * `Fallback` — breakdown or detected corruption: step DOWN one rung
-    //   (SStep → Pipelined → SingleReduction → Classic; classic recovers
-    //   in place);
+    //   (SStep → Pipelined → Classic; classic recovers in place);
     // * `Replace` — audit divergence: re-enter the SAME rung warm (the
     //   re-derivation from `u` *is* the residual replacement), bounded by
     //   the `max_replacements` budget checked at the emit site.
@@ -580,9 +572,6 @@ pub fn pcg_try_solve_into<A: SparseOp>(
     let mut change = f64::INFINITY;
     loop {
         let flow = match rung {
-            PcgVariant::SingleReduction => single_reduction_loop(
-                k, f, u, m, opts, ws, &mut stats, f_norm, &audit, start, change,
-            )?,
             PcgVariant::Pipelined => {
                 ws.ensure_pipelined(n);
                 pipelined_loop(
@@ -602,7 +591,7 @@ pub fn pcg_try_solve_into<A: SparseOp>(
                     )?,
                     Err(_) => {
                         stats.faults_detected += 1;
-                        SrFlow::Fallback {
+                        RungFlow::Fallback {
                             completed: start,
                             change,
                         }
@@ -616,21 +605,20 @@ pub fn pcg_try_solve_into<A: SparseOp>(
             }
         };
         match flow {
-            SrFlow::Done(report) => return Ok(report),
-            SrFlow::Fallback {
+            RungFlow::Done(report) => return Ok(report),
+            RungFlow::Fallback {
                 completed,
                 change: c,
             } => {
                 stats.fallbacks += 1;
                 rung = match rung {
                     PcgVariant::SStep { .. } => PcgVariant::Pipelined,
-                    PcgVariant::Pipelined => PcgVariant::SingleReduction,
                     _ => PcgVariant::Classic,
                 };
                 start = completed;
                 change = c;
             }
-            SrFlow::Replace {
+            RungFlow::Replace {
                 completed,
                 change: c,
             } => {
@@ -973,7 +961,7 @@ fn classic_pass<A: SparseOp>(
     // under RelativeResidual a sub-tolerance *step size* says nothing
     // about the residual the caller asked to bound (a stagnating solve
     // must not be reported as converged). A carried `initial_change`
-    // cannot take the arm: the single-reduction loop would have returned
+    // cannot take the arm: the pipelined loop would have returned
     // converged itself before falling back with a sub-tolerance step.
     let converged =
         rz == 0.0 || (opts.criterion == StoppingCriterion::DisplacementChange && change < opts.tol);
@@ -987,8 +975,8 @@ fn classic_pass<A: SparseOp>(
     )))
 }
 
-/// Control flow of a single-reduction or pipelined attempt.
-enum SrFlow {
+/// Control flow of a pipelined or s-step attempt.
+enum RungFlow {
     /// The attempt produced a final report (converged, exact breakdown,
     /// or budget exhaustion).
     Done(PcgReport),
@@ -1003,240 +991,13 @@ enum SrFlow {
     Replace { completed: usize, change: f64 },
 }
 
-/// The single-reduction (Chronopoulos–Gear) loop: carry `s = Kp` (in the
-/// workspace's `Kp` slot) and `w = Kz`, and obtain `α` and `β` from one
-/// fused reduction phase per iteration:
-///
-/// ```text
-/// z = M⁻¹ r;  w = K z
-/// γ′ = (r, z),  δ = (w, z),  guard (p, s)     ← ONE fused sweep
-/// β = γ′/γ;  α = γ′ / (δ − β·γ′/α_old)
-/// p ← z + βp;  s ← w + βs                     ← one fused sweep
-/// u += αp;  r −= αs  ⊕ stopping partials      ← one fused sweep
-/// ```
-///
-/// The recurrence reconstructs the classic denominator `(p, Kp)` from
-/// already-reduced scalars, so no reduction has to wait on the direction
-/// update — on the SPMD solver the whole iteration needs one reduction
-/// phase (and one barrier for it) where the classic loop serializes two.
-#[allow(clippy::too_many_arguments)]
-fn single_reduction_loop<A: SparseOp>(
-    k: &A,
-    f: &[f64],
-    u: &mut [f64],
-    m: &impl Preconditioner,
-    opts: &PcgOptions,
-    ws: &mut PcgWorkspace,
-    stats: &mut PcgStats,
-    f_norm: f64,
-    audit: &AuditPlan,
-    start_iter: usize,
-    initial_change: f64,
-) -> Result<SrFlow, SparseError> {
-    let PcgWorkspace {
-        r,
-        rhat,
-        p,
-        kp: s,
-        w,
-        aud,
-        precond_scratch,
-        history,
-        ..
-    } = ws;
-
-    // r⁰ = f − K u⁰;  z⁰ = M⁻¹ r⁰;  w⁰ = K z⁰.
-    vecops::copy(f, r);
-    k.mul_vec_axpy(-1.0, u, r);
-    stats.spmv += 1;
-    m.apply_with(r, rhat, precond_scratch);
-    stats.precond_applications += 1;
-    stats.precond_steps += m.steps_per_apply();
-    k.mul_vec_into(rhat, w);
-    stats.spmv += 1;
-    // γ₀ = (r̂, r) and δ₀ = (w, r̂): one reduction phase (the SPMD
-    // schedule forms both partials in the phase that produces `w`).
-    let mut gamma = vecops::dot(rhat, r);
-    let delta = vecops::dot(w, rhat);
-    stats.inner_products += 2;
-    stats.reduction_phases += 1;
-    if !(gamma.is_finite() && delta.is_finite()) {
-        // Corrupted initialization (the fault hit the re-derivation
-        // itself): step down — the classic rung's budgeted in-place
-        // restarts absorb even a persistent fault.
-        stats.faults_detected += 1;
-        return Ok(SrFlow::Fallback {
-            completed: start_iter,
-            change: initial_change,
-        });
-    }
-    if gamma < 0.0 {
-        return Err(SparseError::NotPositiveDefinite {
-            pivot: start_iter,
-            value: gamma,
-        });
-    }
-    if gamma == 0.0 {
-        // z = 0 against a nonzero f: exact convergence at the start (the
-        // classic loop's rz == 0 probe path, minus the probe SpMV).
-        return Ok(SrFlow::Done(exit_report(
-            k,
-            f,
-            u,
-            r,
-            stats,
-            f_norm,
-            start_iter,
-            true,
-            initial_change,
-        )));
-    }
-    if delta <= 0.0 {
-        // (z, Kz) ≤ 0 with z ≠ 0: K is not SPD on this subspace. Hand the
-        // start iterate to the classic loop, whose own probes produce the
-        // canonical typed error.
-        return Ok(SrFlow::Fallback {
-            completed: start_iter,
-            change: initial_change,
-        });
-    }
-    let mut alpha = gamma / delta;
-    let mut beta = 0.0f64;
-    let mut change = initial_change;
-
-    for iter in start_iter + 1..=opts.max_iterations {
-        // Residual audit on the recurrence residual (state after
-        // iteration `iter − 1`); divergence re-enters this rung warm,
-        // which re-derives every carry from the true residual.
-        if audit.enabled
-            && audit_due(iter, start_iter, audit.period)
-            && stats.replacements < audit.max_replacements
-        {
-            let dev2 = audit_deviation2(k, f, u, r, aud, stats);
-            if diverged(dev2, audit.bound2) {
-                return Ok(SrFlow::Replace {
-                    completed: iter - 1,
-                    change,
-                });
-            }
-        }
-
-        // p ← z + βp and s ← w + βs in one sweep (β = 0 makes both exact
-        // copies: the initialization path).
-        vecops::fused_xpby_xpby(rhat, w, beta, p, s);
-        // u += αp, r −= αs ⊕ the ‖p‖∞ / ‖r‖∞ stopping partials.
-        let norms = vecops::fused_axpy_axpy_norm(alpha, p, s, u, r);
-        change = alpha.abs() * norms.p_norm_inf;
-        if opts.criterion == StoppingCriterion::DisplacementChange {
-            if opts.record_history {
-                history.push(change);
-            }
-            if change < opts.tol {
-                // Same exit point as the classic loop: the converging
-                // iteration skips the preconditioner.
-                let final_rel = vecops::norm2_with_max(r, norms.r_norm_inf) / f_norm.max(1e-300);
-                return Ok(SrFlow::Done(PcgReport {
-                    iterations: iter,
-                    converged: true,
-                    final_change: change,
-                    final_relative_residual: final_rel,
-                    stats: *stats,
-                }));
-            }
-        }
-
-        // z = M⁻¹ r;  w = K z;  then THE one fused reduction phase.
-        m.apply_with(r, rhat, precond_scratch);
-        stats.precond_applications += 1;
-        stats.precond_steps += m.steps_per_apply();
-        k.mul_vec_into(rhat, w);
-        stats.spmv += 1;
-        let d3 = vecops::fused_dot3_norm(r, rhat, w, p, s, norms.r_norm_inf);
-        stats.inner_products += 3;
-        stats.reduction_phases += 1;
-
-        // Non-finite detection on the fused scalars, BEFORE any of them
-        // is consumed: a NaN/Inf anywhere in r/z/w/p/s poisons at least
-        // one dot product, while `u` — updated with the previous
-        // iteration's validated α — is still finite, so the next rung
-        // recovers from it.
-        if !d3.all_finite() {
-            stats.faults_detected += 1;
-            return Ok(SrFlow::Fallback {
-                completed: iter,
-                change,
-            });
-        }
-
-        if opts.criterion == StoppingCriterion::RelativeResidual {
-            let rel = d3.r_norm2 / f_norm.max(1e-300);
-            if opts.record_history {
-                history.push(rel);
-            }
-            if rel < opts.tol {
-                return Ok(SrFlow::Done(PcgReport {
-                    iterations: iter,
-                    converged: true,
-                    final_change: change,
-                    final_relative_residual: rel,
-                    stats: *stats,
-                }));
-            }
-        }
-
-        if d3.rz < 0.0 {
-            return Err(SparseError::NotPositiveDefinite {
-                pivot: iter,
-                value: d3.rz,
-            });
-        }
-        if d3.rz == 0.0 {
-            // Exact convergence in fewer than n steps.
-            return Ok(SrFlow::Done(exit_report(
-                k, f, u, r, stats, f_norm, iter, true, change,
-            )));
-        }
-        // Breakdown guard on the *directly measured* curvature (p, s) —
-        // bounded where the reconstructed denominator has drifted — plus
-        // the reconstruction itself: either nonpositive means the
-        // recurrence can no longer be trusted; continue classically.
-        if d3.ps <= 0.0 {
-            return Ok(SrFlow::Fallback {
-                completed: iter,
-                change,
-            });
-        }
-        let beta_new = d3.rz / gamma.max(1e-300);
-        let denom = d3.wz - beta_new * d3.rz / alpha;
-        if !(denom.is_finite() && denom > 0.0) {
-            return Ok(SrFlow::Fallback {
-                completed: iter,
-                change,
-            });
-        }
-        beta = beta_new;
-        alpha = d3.rz / denom;
-        gamma = d3.rz;
-    }
-
-    Ok(SrFlow::Done(exit_report(
-        k,
-        f,
-        u,
-        r,
-        stats,
-        f_norm,
-        opts.max_iterations,
-        false,
-        change,
-    )))
-}
-
-/// The pipelined (Ghysels–Vanroose) loop: on top of the single-reduction
-/// carries `s = Kp` and `w = Kz`, the iteration carries `q = M⁻¹s` and
+/// The pipelined (Ghysels–Vanroose) loop: the iteration carries
+/// `s = Kp` (in the workspace's `Kp` slot), `w = Kz`, `q = M⁻¹s` and
 /// `zz = K·q`, plus the recomputed auxiliaries `mv = M⁻¹w` and
-/// `nv = K·mv`, so the fused reduction phase only consumes vectors that
-/// were finished *before* the heavy phase of the iteration:
+/// `nv = K·mv`, and reconstructs the classic denominator `(p, Kp)` from
+/// already-reduced scalars, so `α` and `β` come out of ONE fused
+/// reduction phase that only consumes vectors finished *before* the
+/// heavy phase of the iteration:
 ///
 /// ```text
 /// p ← z + βp;  s ← w + βs;  q ← mv + βq;  zz ← nv + βzz
@@ -1257,8 +1018,10 @@ fn single_reduction_loop<A: SparseOp>(
 /// application and SpMV.
 ///
 /// Every iteration vector except `mv`/`nv` is a recurrence carry, so the
-/// rounding drift is larger than the single-reduction variant's; the
-/// guards are correspondingly stricter — a nonpositive carried
+/// rounding drift is larger than the classic loop's; the guards are
+/// correspondingly strict — the directly measured curvature `(p, s)`
+/// and the reconstructed denominator are both checked, and a
+/// nonpositive carried
 /// `γ′ = (r, z)` routes to the classic **fallback**, not to an
 /// indefiniteness error, because a drifted carry cannot certify the sign
 /// of the true quadratic form (the classic continuation's fresh probes
@@ -1276,7 +1039,7 @@ fn pipelined_loop<A: SparseOp>(
     audit: &AuditPlan,
     start_iter: usize,
     initial_change: f64,
-) -> Result<SrFlow, SparseError> {
+) -> Result<RungFlow, SparseError> {
     let PcgWorkspace {
         r,
         rhat: z,
@@ -1311,7 +1074,7 @@ fn pipelined_loop<A: SparseOp>(
     if !(gamma.is_finite() && delta.is_finite()) {
         // Corrupted initialization: step down the ladder.
         stats.faults_detected += 1;
-        return Ok(SrFlow::Fallback {
+        return Ok(RungFlow::Fallback {
             completed: start_iter,
             change: initial_change,
         });
@@ -1324,7 +1087,7 @@ fn pipelined_loop<A: SparseOp>(
         });
     }
     if gamma == 0.0 {
-        return Ok(SrFlow::Done(exit_report(
+        return Ok(RungFlow::Done(exit_report(
             k,
             f,
             u,
@@ -1340,7 +1103,7 @@ fn pipelined_loop<A: SparseOp>(
         // (z, Kz) ≤ 0 with z ≠ 0: hand the start iterate down the
         // ladder; the classic rung's probes produce the canonical typed
         // error if the system really is indefinite.
-        return Ok(SrFlow::Fallback {
+        return Ok(RungFlow::Fallback {
             completed: start_iter,
             change: initial_change,
         });
@@ -1365,7 +1128,7 @@ fn pipelined_loop<A: SparseOp>(
         {
             let dev2 = audit_deviation2(k, f, u, r, aud, stats);
             if diverged(dev2, audit.bound2) {
-                return Ok(SrFlow::Replace {
+                return Ok(RungFlow::Replace {
                     completed: iter - 1,
                     change,
                 });
@@ -1386,7 +1149,7 @@ fn pipelined_loop<A: SparseOp>(
             }
             if change < opts.tol {
                 let final_rel = vecops::norm2_with_max(r, norms.r_norm_inf) / f_norm.max(1e-300);
-                return Ok(SrFlow::Done(PcgReport {
+                return Ok(RungFlow::Done(PcgReport {
                     iterations: iter,
                     converged: true,
                     final_change: change,
@@ -1409,7 +1172,7 @@ fn pipelined_loop<A: SparseOp>(
         // the next rung recovers from a finite iterate.
         if !d3.all_finite() {
             stats.faults_detected += 1;
-            return Ok(SrFlow::Fallback {
+            return Ok(RungFlow::Fallback {
                 completed: iter,
                 change,
             });
@@ -1421,7 +1184,7 @@ fn pipelined_loop<A: SparseOp>(
                 history.push(rel);
             }
             if rel < opts.tol {
-                return Ok(SrFlow::Done(PcgReport {
+                return Ok(RungFlow::Done(PcgReport {
                     iterations: iter,
                     converged: true,
                     final_change: change,
@@ -1436,7 +1199,7 @@ fn pipelined_loop<A: SparseOp>(
         // measured curvature (p, s), or the reconstructed denominator —
         // routes to the classic fallback.
         if d3.rz <= 0.0 || d3.ps <= 0.0 {
-            return Ok(SrFlow::Fallback {
+            return Ok(RungFlow::Fallback {
                 completed: iter,
                 change,
             });
@@ -1444,7 +1207,7 @@ fn pipelined_loop<A: SparseOp>(
         let beta_new = d3.rz / gamma.max(1e-300);
         let denom = d3.wz - beta_new * d3.rz / alpha;
         if !(denom.is_finite() && denom > 0.0) {
-            return Ok(SrFlow::Fallback {
+            return Ok(RungFlow::Fallback {
                 completed: iter,
                 change,
             });
@@ -1463,7 +1226,7 @@ fn pipelined_loop<A: SparseOp>(
         gamma = d3.rz;
     }
 
-    Ok(SrFlow::Done(exit_report(
+    Ok(RungFlow::Done(exit_report(
         k,
         f,
         u,
@@ -1633,9 +1396,9 @@ pub fn small_cholesky_solve(l: &[f64], s: usize, cols: usize, b: &mut [f64]) {
 /// remain.
 ///
 /// Breakdown — non-finite Gram scalars (faults), a nonpositive Cholesky
-/// pivot, or a non-finite update — emits [`SrFlow::Fallback`] and the
+/// pivot, or a non-finite update — emits [`RungFlow::Fallback`] and the
 /// ladder steps down warm onto the Pipelined rung; audit divergence
-/// emits [`SrFlow::Replace`] as usual. A negative fresh quadratic form
+/// emits [`RungFlow::Replace`] as usual. A negative fresh quadratic form
 /// `(M⁻¹r, r)` is an indefinite preconditioner: typed error, exactly as
 /// in the other rungs.
 #[allow(clippy::too_many_arguments)]
@@ -1653,7 +1416,7 @@ fn sstep_loop<A: SparseOp>(
     initial_change: f64,
     s: usize,
     interval: SpectralInterval,
-) -> Result<SrFlow, SparseError> {
+) -> Result<RungFlow, SparseError> {
     let n = u.len();
     let msteps = m.steps_per_apply();
     let PcgWorkspace {
@@ -1714,7 +1477,7 @@ fn sstep_loop<A: SparseOp>(
         {
             let dev2 = audit_deviation2(k, f, u, r, aud, stats);
             if diverged(dev2, audit.bound2) {
-                return Ok(SrFlow::Replace { completed, change });
+                return Ok(RungFlow::Replace { completed, change });
             }
         }
 
@@ -1789,7 +1552,7 @@ fn sstep_loop<A: SparseOp>(
             && gp.iter().all(|x| x.is_finite());
         if !finite {
             stats.faults_detected += 1;
-            return Ok(SrFlow::Fallback { completed, change });
+            return Ok(RungFlow::Fallback { completed, change });
         }
         // gv[0] = (M⁻¹r, r) is a fresh quadratic form every block.
         if gv[0] < 0.0 {
@@ -1800,7 +1563,7 @@ fn sstep_loop<A: SparseOp>(
         }
         if gv[0] == 0.0 {
             // Exact convergence: r = 0 under an SPD preconditioner.
-            return Ok(SrFlow::Done(exit_report(
+            return Ok(RungFlow::Done(exit_report(
                 k, f, u, r, stats, f_norm, completed, true, change,
             )));
         }
@@ -1810,7 +1573,7 @@ fn sstep_loop<A: SparseOp>(
                 history.push(rel);
             }
             if rel < opts.tol {
-                return Ok(SrFlow::Done(exit_report(
+                return Ok(RungFlow::Done(exit_report(
                     k, f, u, r, stats, f_norm, completed, true, change,
                 )));
             }
@@ -1875,7 +1638,7 @@ fn sstep_loop<A: SparseOp>(
         if cols == 0 {
             // Ill-conditioned or indefinite Gram matrix: the basis has
             // numerically collapsed — step down the ladder warm.
-            return Ok(SrFlow::Fallback { completed, change });
+            return Ok(RungFlow::Fallback { completed, change });
         }
         // cols < s is the endgame: the residual's Krylov grade ran out
         // mid-block. Take only the well-conditioned leading sub-steps
@@ -1887,7 +1650,7 @@ fn sstep_loop<A: SparseOp>(
         small_cholesky_solve(wfac_cur, s, cols, acoef);
         if acoef[..cols].iter().any(|x| !x.is_finite()) {
             stats.faults_detected += 1;
-            return Ok(SrFlow::Fallback { completed, change });
+            return Ok(RungFlow::Fallback { completed, change });
         }
 
         // ---- Local update sub-steps (all s of them, or the factored
@@ -1913,7 +1676,7 @@ fn sstep_loop<A: SparseOp>(
                 // guards); the next rung's r = f − K·u re-derivation
                 // recovers the poisoned residual.
                 stats.faults_detected += 1;
-                return Ok(SrFlow::Fallback { completed, change });
+                return Ok(RungFlow::Fallback { completed, change });
             }
             if opts.criterion == StoppingCriterion::DisplacementChange && change < opts.tol {
                 converged_at = Some(completed);
@@ -1921,7 +1684,7 @@ fn sstep_loop<A: SparseOp>(
             }
         }
         if let Some(iterations) = converged_at {
-            return Ok(SrFlow::Done(exit_report(
+            return Ok(RungFlow::Done(exit_report(
                 k, f, u, r, stats, f_norm, iterations, true, change,
             )));
         }
@@ -1932,7 +1695,7 @@ fn sstep_loop<A: SparseOp>(
     }
 
     // Budget exhausted (including a final sliver shorter than one block).
-    Ok(SrFlow::Done(exit_report(
+    Ok(RungFlow::Done(exit_report(
         k, f, u, r, stats, f_norm, completed, false, change,
     )))
 }
@@ -2132,7 +1895,6 @@ mod tests {
         for variant in [
             PcgVariant::Auto,
             PcgVariant::Classic,
-            PcgVariant::SingleReduction,
             PcgVariant::Pipelined,
             PcgVariant::SStep { s: 2 },
             PcgVariant::SStep { s: 4 },
@@ -2284,154 +2046,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn single_reduction_matches_classic_solution() {
-        let (a, p) = rb(128);
-        let b: Vec<f64> = (0..128)
-            .map(|i| ((i * 7 + 5) % 23) as f64 * 0.2 - 2.0)
-            .collect();
-        for m in [1usize, 2, 4] {
-            let pre = MStepSsorPreconditioner::unparametrized(&a, &p, m).unwrap();
-            let classic =
-                pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::Classic, 1e-10)).unwrap();
-            let sr = pcg_solve(
-                &a,
-                &b,
-                &pre,
-                &variant_opts(PcgVariant::SingleReduction, 1e-10),
-            )
-            .unwrap();
-            assert!(classic.converged && sr.converged);
-            // Same preconditioned Krylov space: iteration counts agree to
-            // within rounding slack, solutions to solver accuracy.
-            assert!(
-                (classic.iterations as isize - sr.iterations as isize).abs() <= 2,
-                "m = {m}: classic {} vs single-reduction {}",
-                classic.iterations,
-                sr.iterations
-            );
-            for (x, y) in classic.x.iter().zip(&sr.x) {
-                assert!((x - y).abs() < 1e-7, "m = {m}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_reduction_performs_one_reduction_phase_per_iteration() {
-        let (a, p) = rb(96);
-        let b: Vec<f64> = (0..96).map(|i| (i as f64 * 0.17).sin()).collect();
-        let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
-        let sr = pcg_solve(
-            &a,
-            &b,
-            &pre,
-            &variant_opts(PcgVariant::SingleReduction, 1e-10),
-        )
-        .unwrap();
-        // 1 init phase + 1 per iteration (the converging displacement-test
-        // iteration skips its reduction phase).
-        assert!(
-            sr.stats.reduction_phases >= sr.iterations
-                && sr.stats.reduction_phases <= sr.iterations + 1,
-            "{} reduction phases for {} iterations",
-            sr.stats.reduction_phases,
-            sr.iterations
-        );
-        // 3 fused dots per full iteration + 2 at init.
-        assert!(
-            sr.stats.inner_products <= 3 * sr.iterations + 2,
-            "{} inner products for {} iterations",
-            sr.stats.inner_products,
-            sr.iterations
-        );
-        let classic = pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::Classic, 1e-10)).unwrap();
-        // Classic serializes two phases per iteration.
-        assert!(
-            classic.stats.reduction_phases >= 2 * classic.iterations,
-            "{} classic phases for {} iterations",
-            classic.stats.reduction_phases,
-            classic.iterations
-        );
-    }
-
-    #[test]
-    fn single_reduction_workspace_reuse_is_bitwise_deterministic() {
-        let (a, p) = rb(64);
-        let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
-        let b: Vec<f64> = (0..64).map(|i| ((i * 11 + 3) % 17) as f64 - 8.0).collect();
-        let opts = variant_opts(PcgVariant::SingleReduction, 1e-10);
-        let mut ws = PcgWorkspace::new(64);
-        let mut u1 = vec![0.0; 64];
-        let rep1 = pcg_solve_into(&a, &b, &mut u1, &pre, &opts, &mut ws).unwrap();
-        let mut u2 = vec![0.0; 64];
-        let rep2 = pcg_solve_into(&a, &b, &mut u2, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(u1, u2);
-        assert_eq!(rep1.iterations, rep2.iterations);
-        assert_eq!(rep1.final_change.to_bits(), rep2.final_change.to_bits());
-    }
-
-    #[test]
-    fn single_reduction_rejects_indefinite_matrix_via_fallback() {
-        // Indefinite K: the single-reduction guards hand the iterate to
-        // the classic loop, whose probes produce the canonical error — the
-        // two variants must agree on the failure class.
-        let mut c = CooMatrix::new(2, 2);
-        c.push(0, 0, 1.0).unwrap();
-        c.push(1, 1, -1.0).unwrap();
-        let a = c.to_csr();
-        let err = cg_solve(
-            &a,
-            &[1.0, 1.0],
-            &variant_opts(PcgVariant::SingleReduction, 1e-6),
-        );
-        assert!(matches!(err, Err(SparseError::NotPositiveDefinite { .. })));
-    }
-
-    #[test]
-    fn single_reduction_budget_exhaustion_reports_true_residual() {
-        let a = laplacian(50);
-        let b = vec![1.0; 50];
-        let opts = PcgOptions {
-            tol: 1e-14,
-            max_iterations: 3,
-            variant: PcgVariant::SingleReduction,
-            ..Default::default()
-        };
-        let mut ws = PcgWorkspace::new(50);
-        let mut u = vec![0.0; 50];
-        let rep = pcg_try_solve_into(
-            &a,
-            &b,
-            &mut u,
-            &IdentityPreconditioner::new(50),
-            &opts,
-            &mut ws,
-        )
-        .unwrap();
-        assert!(!rep.converged);
-        assert_eq!(rep.iterations, 3);
-        assert!(rep.final_relative_residual.is_finite() && rep.final_relative_residual > 0.0);
-    }
-
-    #[test]
-    fn single_reduction_zero_rhs_and_warm_start() {
-        let a = laplacian(10);
-        let opts = variant_opts(PcgVariant::SingleReduction, 1e-8);
-        let sol = cg_solve(&a, &[0.0; 10], &opts).unwrap();
-        assert!(sol.converged);
-        assert_eq!(sol.x, vec![0.0; 10]);
-        // Warm start at the exact solution: γ = 0 at init.
-        let x_true: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let b = a.mul_vec(&x_true);
-        let pre = IdentityPreconditioner::new(10);
-        let sol = pcg_solve_from(&a, &b, &x_true, &pre, &opts).unwrap();
-        assert!(sol.converged);
-        assert!(sol.iterations <= 1);
-    }
-
     /// A "preconditioner" that is the identity except on one application,
-    /// where it returns a vector crafted to drive the Chronopoulos–Gear
-    /// reconstructed denominator `δ − β·γ′/α` nonpositive while `K` stays
+    /// where it returns a vector crafted to break the pipelined
+    /// recurrence's carried scalars (`γ′`, `δ − β·γ′/α`) while `K` stays
     /// SPD — the classic loop's true `(p, Kp)` never goes nonpositive, so
     /// the fallback must rescue the solve rather than error.
     struct SabotagePreconditioner {
@@ -2465,42 +2082,6 @@ mod tests {
     }
 
     #[test]
-    fn recurrence_breakdown_falls_back_to_classic_and_converges() {
-        let a = laplacian(32);
-        let x_true: Vec<f64> = (0..32).map(|i| (i as f64 * 0.3).cos()).collect();
-        let b = a.mul_vec(&x_true);
-        let pre = SabotagePreconditioner {
-            n: 32,
-            at_call: 2,
-            calls: std::cell::Cell::new(0),
-        };
-        let opts = PcgOptions {
-            tol: 1e-10,
-            criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::SingleReduction,
-            ..Default::default()
-        };
-        let sol = pcg_solve(&a, &b, &pre, &opts).unwrap();
-        assert!(sol.converged, "fallback did not rescue the solve");
-        assert!(sol.final_relative_residual < 1e-10);
-        for (x, y) in sol.x.iter().zip(&x_true) {
-            assert!((x - y).abs() < 1e-6);
-        }
-        // The report says FALLBACK: the rescue is a recorded event, not a
-        // silent rerun.
-        assert_eq!(sol.stats.fallbacks, 1);
-        // The classic continuation is visible in the counters: a pure
-        // single-reduction run performs at most iterations + 1 phases,
-        // while the fallback's classic suffix adds two per iteration.
-        assert!(
-            sol.stats.reduction_phases >= sol.iterations + 2,
-            "{} phases for {} iterations — fallback never ran",
-            sol.stats.reduction_phases,
-            sol.iterations
-        );
-    }
-
-    #[test]
     fn pipelined_matches_classic_solution() {
         let (a, p) = rb(128);
         let b: Vec<f64> = (0..128)
@@ -2514,13 +2095,11 @@ mod tests {
             assert!(classic.converged && pl.converged);
             // At essential convergence the carried γ′ can dip nonpositive
             // and trip the guard — the designed breakdown path. The
-            // ladder steps Pipelined → SingleReduction → Classic, and the
-            // single-reduction rung can itself break down near
-            // convergence, so up to two steps are legitimate; more would
-            // mean the guards thrash.
-            assert!(pl.stats.fallbacks <= 2, "m = {m}: guards thrash");
-            // The pipelined recurrences drift more than the single-
-            // reduction ones; the Krylov space is still the same.
+            // ladder steps Pipelined → Classic and the classic rung never
+            // falls back, so at most one step is legitimate.
+            assert!(pl.stats.fallbacks <= 1, "m = {m}: guards thrash");
+            // The pipelined recurrences drift from the classic ones; the
+            // Krylov space is still the same.
             assert!(
                 (classic.iterations as isize - pl.iterations as isize).abs() <= 3,
                 "m = {m}: classic {} vs pipelined {}",
@@ -2925,17 +2504,11 @@ mod tests {
         for (x, y) in sol.x.iter().zip(&x_true) {
             assert!((x - y).abs() < 1e-6);
         }
-        // The report says FALLBACK. The ladder now steps through the
-        // single-reduction rung first; it usually finishes the rescue
-        // itself (one step), but may break down near convergence and hand
-        // off to classic (two).
-        assert!(
-            (1..=2).contains(&sol.stats.fallbacks),
-            "fallbacks = {}",
-            sol.stats.fallbacks
-        );
-        // …and the continuation ran from the current iterate: the rescue
-        // rungs' extra phases are visible in the counter.
+        // The report says FALLBACK: exactly one ladder step, onto the
+        // classic rung, which finishes the rescue.
+        assert_eq!(sol.stats.fallbacks, 1);
+        // …and the continuation ran from the current iterate: the classic
+        // rung's two phases per iteration are visible in the counter.
         assert!(
             sol.stats.reduction_phases >= sol.iterations + 2,
             "{} phases for {} iterations — fallback never ran",
@@ -3060,8 +2633,8 @@ mod tests {
         let x_true: Vec<f64> = (0..64).map(|i| (i as f64 * 0.13).cos()).collect();
         let b = SparseOp::mul_vec(&a, &x_true);
         // A moderate, FINITE corruption of one SpMV output: in the
-        // single-reduction recurrence the poisoned w flows into the `s`
-        // carry at the next direction update, after which `r −= αs` and
+        // pipelined recurrence the poisoned `nv = K·mv` flows through the
+        // `K·q` carry into `w` and then `s`, after which `r −= αs` and
         // `u += αp` use INCONSISTENT vectors — the recurrence residual
         // silently drifts from `f − K·u`. The perturbation is kept small
         // enough that every reduction scalar stays finite and plausible
@@ -3078,7 +2651,7 @@ mod tests {
         let opts = PcgOptions {
             tol: 1e-10,
             criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::SingleReduction,
+            variant: PcgVariant::Pipelined,
             recovery: RecoveryPolicy {
                 audit_period: 4,
                 ..RecoveryPolicy::on()
@@ -3112,7 +2685,7 @@ mod tests {
         let b: Vec<f64> = (0..64).map(|i| ((i * 5 + 1) % 19) as f64 - 9.0).collect();
         let opts = PcgOptions {
             tol: 1e-10,
-            variant: PcgVariant::SingleReduction,
+            variant: PcgVariant::Pipelined,
             recovery: RecoveryPolicy {
                 audit_period: 3,
                 ..RecoveryPolicy::on()

@@ -24,7 +24,7 @@
 //!    ([`TIGHT_TOL`]).
 //! 3. **Recovery ladder** — instead of the old single classic-fallback
 //!    shot, breakdown and detected corruption step down
-//!    Pipelined → SingleReduction → Classic, each rung re-deriving its
+//!    SStep → Pipelined → Classic, each rung re-deriving its
 //!    carries from the current iterate (serial) or rerunning the schedule
 //!    (SPMD); non-finite reduction scalars surface as
 //!    [`SparseError::NonFinite`] only once the replacement budget is
@@ -41,8 +41,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tolerances at or below this are "tight": the recurrence drift of the
-/// single-reduction and pipelined variants can plausibly exceed the
-/// stopping threshold, so [`RecoveryPolicy::Auto`](Toggle::Auto) enables
+/// pipelined and s-step variants can plausibly exceed the stopping
+/// threshold, so [`RecoveryPolicy::Auto`](Toggle::Auto) enables
 /// auditing for them without being asked.
 pub const TIGHT_TOL: f64 = 1e-11;
 
@@ -124,16 +124,14 @@ impl RecoveryPolicy {
     /// Whether auditing is active for a solve of `variant` (already
     /// resolved, never `Auto`) at tolerance `tol`. Explicit `On`/`Off`
     /// win; `Auto` enables auditing only for the drift-prone recurrences
-    /// at tight tolerance.
+    /// (pipelined and s-step) at tight tolerance.
     pub fn audit_enabled(&self, variant: PcgVariant, tol: f64) -> bool {
         match self.replacement {
             Toggle::On => true,
             Toggle::Off => false,
             Toggle::Auto => {
-                matches!(
-                    variant,
-                    PcgVariant::SingleReduction | PcgVariant::Pipelined | PcgVariant::SStep { .. }
-                ) && tol <= TIGHT_TOL
+                matches!(variant, PcgVariant::Pipelined | PcgVariant::SStep { .. })
+                    && tol <= TIGHT_TOL
             }
         }
     }
@@ -559,7 +557,7 @@ mod tests {
         // Auto: drift-prone variants at tight tolerance only.
         let auto = RecoveryPolicy::default();
         assert!(auto.audit_enabled(PcgVariant::Pipelined, 1e-12));
-        assert!(auto.audit_enabled(PcgVariant::SingleReduction, TIGHT_TOL));
+        assert!(auto.audit_enabled(PcgVariant::Pipelined, TIGHT_TOL));
         assert!(auto.audit_enabled(PcgVariant::SStep { s: 4 }, 1e-12));
         assert!(!auto.audit_enabled(PcgVariant::Pipelined, 1e-8));
         assert!(!auto.audit_enabled(PcgVariant::Classic, 1e-14));

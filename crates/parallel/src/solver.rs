@@ -13,9 +13,8 @@
 //! the same order, so all workers reach bitwise-identical α, β and
 //! stopping decisions without a broadcast phase — the sum/max circuit of
 //! the Finite Element Machine, minus the dedicated round trips. The
-//! partial banks (`dot`, `change`, `rz` — plus `ps` on the
-//! single-reduction schedule) rotate so a fast worker's writes for phase
-//! k+1 can never race a slow worker's reads from phase k.
+//! partial banks (`dot`, `change`, `rz`) rotate so a fast worker's writes
+//! for phase k+1 can never race a slow worker's reads from phase k.
 //!
 //! Per **classic** iteration (`C` colors, `m` steps):
 //!
@@ -33,44 +32,17 @@
 //! bit-identical to the unfused schedule: the fused kernels perform the
 //! same arithmetic in the same order, only without the barriers.
 //!
-//! ## Single-reduction schedule
+//! ## Pipelined schedule
 //!
 //! The classic floor is its two *serialized* dot products: `(p, Kp)` must
 //! close before α can scale the update, and `(z, r)` before β can build
-//! the next direction — each pinning one extra barrier. Under
-//! [`PcgVariant::SingleReduction`] the Chronopoulos–Gear recurrence
-//! removes both waits: `s = Kp` is carried by the recurrence `s ← w + βs`
-//! (`w = Kz`), and α/β are reconstructed from the **one** fused reduction
-//! phase that rides the `w`-producing SpMV:
-//!
-//! ```text
-//! p ← z + βp; s ← w + βs; u += αp;
-//!   r −= αs ⊕ ‖Δu‖∞, (p, s) partials   1 barrier   (one mega-phase)
-//! preconditioner (as above)             m·(2C−1) barriers
-//! w ← K·z ⊕ (w, z) partial,
-//!   (z, r) fused into the last sweep    1 barrier
-//! ```
-//!
-//! i.e. `m·(2C−1) + 2` barriers and **one reduction phase** per iteration
-//! (plain CG, `m = 0`: two barriers total, with `z ≡ r`). The recurrence
-//! follows a different-but-bounded rounding path, so this schedule is
-//! *not* bitwise identical to classic — it is bitwise reproducible within
-//! the variant, and on recurrence breakdown (`(p, s) ≤ 0` or a
-//! nonpositive reconstructed denominator) [`ParallelMStepPcg::solve`]
-//! transparently reruns the solve on the classic schedule. Both barrier
-//! and reduction-phase counts are measured, not asserted:
-//! [`ParallelSolveReport::barrier_crossings`] /
-//! [`ParallelSolveReport::reduction_phases`] come from the instrumented
-//! [`SpinBarrier`] and the replicated-reduction counter.
-//!
-//! ## Pipelined schedule
-//!
-//! The single-reduction schedule still *blocks* at its one reduction:
-//! every worker idles at the w-phase barrier until the partials are
-//! replicated. Under [`PcgVariant::Pipelined`] (Ghysels–Vanroose) the
-//! recurrence carries two more vectors (`q = M⁻¹s`, `zz = K·q`) and
-//! recomputes two auxiliaries (`mv = M⁻¹w`, `nv = K·mv`) so the one
-//! reduction reads only vectors finished in the *update* phase — it is
+//! the next direction — each pinning one extra barrier, with every worker
+//! idle until the partials are replicated. Under [`PcgVariant::Pipelined`]
+//! (Ghysels–Vanroose) the recurrence carries `s = Kp`, `w = Kz`,
+//! `q = M⁻¹s` and `zz = K·q`, and recomputes two auxiliaries
+//! (`mv = M⁻¹w`, `nv = K·mv`), so α and β are reconstructed
+//! (`β = γ′/γ`, `α = γ′/(δ − β·γ′/α_old)`) from **one** fused reduction
+//! that reads only vectors finished in the *update* phase — it is
 //! **initiated** there ([`SplitBarrier::arrive`]) and **consumed**
 //! ([`SplitBarrier::wait`]) only after the preconditioner + SpMV:
 //!
@@ -83,24 +55,30 @@
 //! nv ← K·mv, wait()                     0 barriers  (split wait)
 //! ```
 //!
-//! i.e. `m·(2C−1)` full barriers plus **one split crossing** per
-//! iteration — *fewer* full barriers than single-reduction, with the
-//! reduction latency hidden behind the heaviest phase. The update phase
-//! needs no trailing barrier because everything it touches is own-strip;
-//! the cross-strip reads (`mv` in the trailing SpMV, the partial banks in
-//! the replicated sums) are protected by rotating banks whose next write
-//! is always separated from the last read by the following iteration's
-//! msolve barriers (for plain CG, `m = 0`: `w` itself rotates and one
+//! i.e. `m·(2C−1)` full barriers plus **one split crossing** and **one
+//! reduction phase** per iteration — three full barriers fewer than
+//! classic, with the reduction latency hidden behind the heaviest phase.
+//! The update phase needs no trailing barrier because everything it
+//! touches is own-strip; the cross-strip reads (`mv` in the trailing
+//! SpMV, the partial banks in the replicated sums) are protected by
+//! rotating banks whose next write is always separated from the last
+//! read by the following iteration's msolve barriers (for plain CG, `m = 0`: `w` itself rotates and one
 //! full barrier per iteration guards the cross-strip `K·w` read). The
 //! price of the overlap is one speculative heavy phase on the converging
-//! iteration and faster recurrence drift, guarded exactly like the
-//! single-reduction schedule (every nonpositive scalar → classic rerun).
-//! [`ParallelSolveReport::split_crossings`] measures the in-flight
-//! reductions; the exact-formula counter test pins the whole schedule.
+//! iteration and a different-but-bounded rounding path: the schedule is
+//! bitwise reproducible within the variant, not bitwise identical to
+//! classic, and recurrence breakdown (every nonpositive carried scalar
+//! or reconstructed denominator) makes [`ParallelMStepPcg::solve`]
+//! transparently rerun the solve on the classic schedule.
+//! [`ParallelSolveReport::barrier_crossings`],
+//! [`ParallelSolveReport::reduction_phases`] and
+//! [`ParallelSolveReport::split_crossings`] are measured by the
+//! instrumented barriers and the replicated-reduction counter, not
+//! asserted; the exact-formula counter test pins the whole schedule.
 //!
 //! ## s-step schedule (communication avoidance)
 //!
-//! The recurrence schedules above still pay **one reduction phase per
+//! The pipelined schedule above still pays **one reduction phase per
 //! iteration**. Under [`PcgVariant::SStep`] the Chronopoulos–Gear
 //! s-step formulation amortizes that floor: each outer step builds an
 //! `s`-dimensional Krylov block with the Chebyshev three-term recurrence
@@ -148,7 +126,7 @@
 //! one scratch bank so a phase's cross-strip SpMV reads never race the
 //! next phase's writes. The exact-formula counter test pins the
 //! resulting schedules: per iteration, classic `k + 3` barriers,
-//! single-reduction `k + 2`, pipelined `k + 1` (the `+1` is the barrier
+//! pipelined `k + 1` (the `+1` is the barrier
 //! the cross-strip SpMV input needs where the SSOR sweeps read own-strip
 //! only) with the one split crossing unchanged.
 //! [`ParallelMStepPcg::auto`] picks between sweeps and polynomial via
@@ -217,24 +195,25 @@ pub struct ParallelSolveReport {
     /// Worker threads actually used.
     pub threads: usize,
     /// The schedule that produced this result (never
-    /// [`PcgVariant::Auto`]; classic after a single-reduction breakdown
-    /// fallback).
+    /// [`PcgVariant::Auto`]; the lower rung after a ladder step-down —
+    /// pipelined after an s-step breakdown, classic after a pipelined
+    /// one).
     pub variant: PcgVariant,
     /// Total [`SpinBarrier`] crossings of the run (init + all
     /// iterations), measured by the instrumented barrier: the
     /// synchronization cost the `m·(2C−1) + k` model predicts.
     pub barrier_crossings: usize,
     /// Replicated dot-product reduction phases feeding α/β: two per
-    /// classic iteration, one per single-reduction or pipelined iteration
-    /// (plus one at init), and ONE per `s` iterations on the s-step
-    /// schedule (the fused block Gram phase; no init phase). The ‖Δu‖∞
-    /// stopping max is the paper's flag network and is not counted.
+    /// classic iteration, one per pipelined iteration (plus one at
+    /// init), and ONE per `s` iterations on the s-step schedule (the
+    /// fused block Gram phase; no init phase). The ‖Δu‖∞ stopping max is
+    /// the paper's flag network and is not counted.
     pub reduction_phases: usize,
     /// [`SplitBarrier`] crossings of the run: one per reduction **in
     /// flight** on the pipelined schedule (arrive before the
     /// preconditioner + SpMV phase, wait after it). Zero on the classic
-    /// and single-reduction schedules, whose reductions block at a
-    /// [`SpinBarrier`] instead.
+    /// and s-step schedules, whose reductions block at a [`SpinBarrier`]
+    /// instead.
     pub split_crossings: usize,
     /// True-residual audit phases performed, accumulated across ladder
     /// reruns (each audit is one fused `f − K·u` phase: +1 barrier, no
@@ -246,8 +225,7 @@ pub struct ParallelSolveReport {
     /// down the ladder instead).
     pub replacements: usize,
     /// Ladder step-downs this solve performed (SStep → Pipelined →
-    /// SingleReduction → Classic; each is a from-scratch rerun on the
-    /// lower rung).
+    /// Classic; each is a from-scratch rerun on the lower rung).
     pub recoveries: usize,
     /// Non-finite reduction scalars detected, accumulated across reruns.
     pub faults_detected: usize,
@@ -639,8 +617,7 @@ impl ParallelMStepPcg {
     ///
     /// [`ParallelSolverOptions::variant`] selects the schedule; a
     /// recurrence run that hits breakdown or detected corruption is rerun
-    /// one **ladder rung** down (SStep → Pipelined → SingleReduction →
-    /// Classic)
+    /// one **ladder rung** down (SStep → Pipelined → Classic)
     /// transparently, counting each step in
     /// [`ParallelSolveReport::recoveries`] (breakdown is decided by
     /// replicated scalars, so every worker — and every rerun — takes the
@@ -734,8 +711,7 @@ impl ParallelMStepPcg {
                     recoveries += 1;
                     rung = match rung {
                         PcgVariant::SStep { .. } => PcgVariant::Pipelined,
-                        PcgVariant::Pipelined => PcgVariant::SingleReduction,
-                        PcgVariant::SingleReduction => PcgVariant::Classic,
+                        PcgVariant::Pipelined => PcgVariant::Classic,
                         // The classic schedule has no fallback exit.
                         _ => unreachable!("classic schedule fell back"),
                     };
@@ -760,7 +736,6 @@ impl ParallelMStepPcg {
                 right: (f.len(), 1),
             });
         }
-        let single_reduction = variant == PcgVariant::SingleReduction;
         let pipelined = variant == PcgVariant::Pipelined;
         let sstep_s = match variant {
             PcgVariant::SStep { s } => s,
@@ -808,13 +783,11 @@ impl ParallelMStepPcg {
         let p = SharedVec::zeros(n);
         let kp = SharedVec::zeros(n);
         let y = SharedVec::zeros(n);
-        // The `w = Kz` carry of the single-reduction and pipelined
-        // recurrences.
-        let w = SharedVec::zeros(if single_reduction || pipelined { n } else { 0 });
-        // Pipelined extras: the `q = M⁻¹s` / `K·q` carries, the `mv`/`nv`
-        // auxiliaries, and the second banks of the parity rotation (`mv`
-        // rotates for m ≥ 1, `w` rotates for plain CG — see
+        // Pipelined extras: the `w = Kz`, `q = M⁻¹s` and `K·q` carries,
+        // the `mv`/`nv` auxiliaries, and the second banks of the parity
+        // rotation (`mv` rotates for m ≥ 1, `w` rotates for plain CG — see
         // `worker_pipelined`). Zero-length whenever unused.
+        let w = SharedVec::zeros(if pipelined { n } else { 0 });
         let q = SharedVec::zeros(if pipelined && !m_zero { n } else { 0 });
         let zz = SharedVec::zeros(if pipelined { n } else { 0 });
         let nv = SharedVec::zeros(if pipelined { n } else { 0 });
@@ -859,7 +832,6 @@ impl ParallelMStepPcg {
         let dot_partials = SharedVec::zeros(threads);
         let change_partials = SharedVec::zeros(threads);
         let rz_partials = SharedVec::zeros(threads);
-        let ps_partials = SharedVec::zeros(if single_reduction { threads } else { 0 });
         let plen = if pipelined { threads } else { 0 };
         let pl_gamma = [SharedVec::zeros(plen), SharedVec::zeros(plen)];
         let pl_delta = [SharedVec::zeros(plen), SharedVec::zeros(plen)];
@@ -901,10 +873,10 @@ impl ParallelMStepPcg {
         std::thread::scope(|s| {
             for t in 0..threads {
                 let strip = strips[t].clone();
-                let (u, r, z, p, kp, y, w, bank, barrier, iters_out) =
-                    (&u, &r, &z, &p, &kp, &y, &w, &bank, &barrier, &iters_out);
-                let (dot_partials, change_partials, rz_partials, ps_partials) =
-                    (&dot_partials, &change_partials, &rz_partials, &ps_partials);
+                let (u, r, z, p, kp, y, bank, barrier, iters_out) =
+                    (&u, &r, &z, &p, &kp, &y, &bank, &barrier, &iters_out);
+                let (dot_partials, change_partials, rz_partials) =
+                    (&dot_partials, &change_partials, &rz_partials);
                 let (pl, split, pscr, sv) = (&pl, &split, &pscr, &sv);
                 let (aud, dev_partials) = (&aud, &dev_partials);
                 let this = &*self;
@@ -948,32 +920,6 @@ impl ParallelMStepPcg {
                                 bank,
                                 barrier,
                                 split,
-                                iters_out,
-                                opts,
-                            );
-                        } else if single_reduction {
-                            this.worker_single_reduction(
-                                t,
-                                strip,
-                                u,
-                                r,
-                                z,
-                                p,
-                                kp,
-                                y,
-                                w,
-                                pscr,
-                                dot_partials,
-                                change_partials,
-                                rz_partials,
-                                ps_partials,
-                                f,
-                                aud,
-                                dev_partials,
-                                audit,
-                                plan,
-                                bank,
-                                barrier,
                                 iters_out,
                                 opts,
                             );
@@ -1333,245 +1279,6 @@ impl ParallelMStepPcg {
                 vecops::xpby(&zv[own.clone()], beta, po);
             }
             barrier.wait();
-        }
-    }
-
-    /// The SPMD body of the **single-reduction** schedule. Same phase
-    /// discipline as [`ParallelMStepPcg::worker`]; the differences are the
-    /// carried `s = Kp` (in the `kp` vectors) and `w = Kz`, the fused
-    /// mega-update phase, and that every scalar the recurrence needs
-    /// comes out of the one reduction phase riding the `w = Kz` SpMV.
-    ///
-    /// For plain CG (`m = 0`) no preconditioner phase exists and `z ≡ r`:
-    /// the schedule reads `r` wherever `z` appears, dropping to **two
-    /// barriers per iteration**.
-    #[allow(clippy::too_many_arguments)]
-    fn worker_single_reduction(
-        &self,
-        t: usize,
-        strip: std::ops::Range<usize>,
-        u: &SharedVec,
-        r: &SharedVec,
-        z: &SharedVec,
-        p: &SharedVec,
-        s: &SharedVec,
-        y: &SharedVec,
-        w: &SharedVec,
-        pscr: &PolyScratch<'_>,
-        wz_partials: &SharedVec,
-        change_partials: &SharedVec,
-        rz_partials: &SharedVec,
-        ps_partials: &SharedVec,
-        f: &[f64],
-        aud: &SharedVec,
-        dev_partials: &SharedVec,
-        audit: &ParAudit,
-        plan: Option<&FaultPlan>,
-        bank: &ScalarBank,
-        barrier: &SpinBarrier,
-        iters_out: &SharedVec,
-        opts: &ParallelSolverOptions,
-    ) {
-        let own = strip.clone();
-        let m_zero = self.no_msolve();
-        let mut phases = 0usize;
-        let mut audits = 0usize;
-        let mut faults = 0usize;
-        // Worker-0 outcome publication (every branch below is taken
-        // unanimously — the scalars are replicated). The recurrence
-        // schedules never replace in place (slot 4 stays 0): corruption
-        // and breakdown both step down the ladder via FALLBACK.
-        let finish = |code: f64,
-                      iterations: usize,
-                      change: f64,
-                      phases: usize,
-                      audits: usize,
-                      faults: usize| {
-            if t == 0 {
-                unsafe {
-                    bank.set(slot::STOP, code);
-                    iters_out.write_at(0, iterations as f64);
-                    iters_out.write_at(1, change);
-                    iters_out.write_at(2, phases as f64);
-                    iters_out.write_at(3, audits as f64);
-                    iters_out.write_at(5, faults as f64);
-                }
-            }
-        };
-
-        // --- init: z = M⁻¹ r with the (z, r) partial fused into the
-        // final color phase; for m = 0, z ≡ r and the (r, r) partial
-        // rides the w phase instead.
-        if !m_zero {
-            self.msolve_phases(&own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
-            self.inject_msolve_fault(plan, 0, &own, z, None, barrier);
-        }
-        self.w_phase(
-            &own,
-            t,
-            m_zero,
-            r,
-            z,
-            w,
-            wz_partials,
-            rz_partials,
-            barrier,
-            claim_fault(plan, FaultTarget::Spmv, 0, &own),
-        );
-
-        // --- γ₀, δ₀ (replicated, ONE phase) -----------------------------
-        let mut gamma: f64 = unsafe { rz_partials.read().iter().sum() };
-        let delta: f64 = unsafe { wz_partials.read().iter().sum() };
-        phases += 1;
-        if !(gamma.is_finite() && delta.is_finite()) {
-            // A poisoned init scalar: no recurrence state worth keeping —
-            // step down the ladder before any carry is built.
-            faults += 1;
-            finish(status::FALLBACK, 0, 0.0, phases, audits, faults);
-            return;
-        }
-        if gamma < 0.0 {
-            finish(status::INDEFINITE_M, 0, 0.0, phases, audits, faults);
-            return;
-        }
-        if gamma == 0.0 {
-            finish(status::CONVERGED, 0, 0.0, phases, audits, faults);
-            return;
-        }
-        if opts.max_iterations == 0 {
-            finish(status::BUDGET, 0, f64::INFINITY, phases, audits, faults);
-            return;
-        }
-        if delta <= 0.0 {
-            // (z, Kz) ≤ 0 with z ≠ 0: let the classic schedule's probes
-            // produce the canonical error.
-            finish(status::FALLBACK, 0, 0.0, phases, audits, faults);
-            return;
-        }
-        let mut alpha = gamma / delta;
-        let mut beta = 0.0f64;
-
-        for iter in 1..=opts.max_iterations {
-            // --- audit (detector-only on the recurrence schedules): the
-            // fused true-residual phase costs one barrier; divergence has
-            // no same-rung warm restart here, so it steps down the
-            // ladder. The state audited is the one iteration `iter − 1`
-            // left behind.
-            if audit.enabled && audit_due(iter, 0, audit.period) {
-                let dev2 = self.audit_phase(&own, t, f, u, r, aud, dev_partials, barrier);
-                audits += 1;
-                if diverged(dev2, audit.bound2) {
-                    finish(status::FALLBACK, iter - 1, 0.0, phases, audits, faults);
-                    return;
-                }
-            }
-            // --- mega-update phase: p ← z + βp, s ← w + βs, u += αp,
-            // r −= αs ⊕ ‖Δu‖∞ and (p, s) partials — one barrier for all
-            // four updates and both partials. The (p, s) strip partial
-            // rides the update kernel itself (fused_xpby_xpby_dot), so
-            // the strips are traversed once, not re-read by a dot pass.
-            unsafe {
-                {
-                    let zv = if m_zero { r.read() } else { z.read() };
-                    let wv = w.read();
-                    let po = p.write(own.clone());
-                    let so = s.write(own.clone());
-                    let ps = vecops::fused_xpby_xpby_dot(
-                        &zv[own.clone()],
-                        &wv[own.clone()],
-                        beta,
-                        po,
-                        so,
-                    );
-                    ps_partials.write_at(t, ps);
-                }
-                let pv = p.read();
-                let sv = s.read();
-                let uo = u.write(own.clone());
-                let ro = r.write(own.clone());
-                let norms =
-                    vecops::fused_axpy_axpy_norm(alpha, &pv[own.clone()], &sv[own.clone()], uo, ro);
-                change_partials.write_at(t, alpha.abs() * norms.p_norm_inf);
-            }
-            barrier.wait();
-
-            // --- convergence test (replicated flag network) + guards ---------
-            let change = unsafe { change_partials.read().iter().fold(0.0f64, |a, &b| a.max(b)) };
-            if !change.is_finite() {
-                // ‖Δu‖∞ swallows NaN but surfaces Inf: a poisoned update.
-                faults += 1;
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-            if change < opts.tol {
-                finish(status::CONVERGED, iter, change, phases, audits, faults);
-                return;
-            }
-            if iter == opts.max_iterations {
-                finish(status::BUDGET, iter, change, phases, audits, faults);
-                return;
-            }
-            let ps: f64 = unsafe { ps_partials.read().iter().sum() };
-            if !ps.is_finite() {
-                faults += 1;
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-            // Directly measured curvature (p, s) ≤ 0: the recurrence can
-            // no longer be trusted — rerun one rung down.
-            if ps <= 0.0 {
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-
-            // --- z = M⁻¹ r, (z, r) partial fused into the final phase,
-            // then w = K z ⊕ (w, z) — THE reduction phase ---------------------
-            if !m_zero {
-                self.msolve_phases(&own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
-                self.inject_msolve_fault(plan, iter, &own, z, None, barrier);
-            }
-            self.w_phase(
-                &own,
-                t,
-                m_zero,
-                r,
-                z,
-                w,
-                wz_partials,
-                rz_partials,
-                barrier,
-                claim_fault(plan, FaultTarget::Spmv, iter, &own),
-            );
-
-            // --- γ′, δ, then β and the reconstructed α (replicated) ----------
-            let gamma_new: f64 = unsafe { rz_partials.read().iter().sum() };
-            let delta: f64 = unsafe { wz_partials.read().iter().sum() };
-            phases += 1;
-            if !(gamma_new.is_finite() && delta.is_finite()) {
-                // Checked before either scalar feeds α/β, so u is still a
-                // valid iterate when the lower rung reruns.
-                faults += 1;
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-            if gamma_new < 0.0 {
-                finish(status::INDEFINITE_M, iter, change, phases, audits, faults);
-                return;
-            }
-            if gamma_new == 0.0 {
-                // Exact convergence in fewer than n steps.
-                finish(status::CONVERGED, iter, change, phases, audits, faults);
-                return;
-            }
-            let beta_new = gamma_new / gamma.max(1e-300);
-            let denom = delta - beta_new * gamma_new / alpha;
-            if !(denom.is_finite() && denom > 0.0) {
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-            beta = beta_new;
-            alpha = gamma_new / denom;
-            gamma = gamma_new;
         }
     }
 
@@ -2503,42 +2210,6 @@ impl ParallelMStepPcg {
         }
     }
 
-    /// The single-reduction schedule's `w = K·z` phase: write the strip of
-    /// `w`, fuse in the `(w, z)` partial — and, for plain CG (`m_zero`,
-    /// where `z ≡ r` and no preconditioner phase exists to carry it), the
-    /// `(r, r)` partial — then barrier. The strip of `w` this worker just
-    /// wrote is exactly the strip the partial reads, so no reduction needs
-    /// a barrier of its own. Used verbatim at init and in the iteration
-    /// loop: the two reduction points must stay arithmetically identical.
-    #[allow(clippy::too_many_arguments)]
-    fn w_phase(
-        &self,
-        own: &std::ops::Range<usize>,
-        t: usize,
-        m_zero: bool,
-        r: &SharedVec,
-        z: &SharedVec,
-        w: &SharedVec,
-        wz_partials: &SharedVec,
-        rz_partials: &SharedVec,
-        barrier: &SpinBarrier,
-        fault: Option<(usize, FaultKind)>,
-    ) {
-        unsafe {
-            let zv = if m_zero { r.read() } else { z.read() };
-            let out = w.write(own.clone());
-            self.strip_spmv(zv, out, own.clone());
-            if let Some((index, kind)) = fault {
-                out[index - own.start] = perturb(out[index - own.start], kind);
-            }
-            wz_partials.write_at(t, vecops::dot(&zv[own.clone()], out));
-            if m_zero {
-                rz_partials.write_at(t, vecops::dot(&zv[own.clone()], &zv[own.clone()]));
-            }
-        }
-        barrier.wait();
-    }
-
     /// Barrier-per-color m-step SSOR solve `z ← M⁻¹ r` (ω = 1), or a plain
     /// copy when no coefficients are set (plain CG).
     ///
@@ -3063,150 +2734,6 @@ mod tests {
     }
 
     #[test]
-    fn single_reduction_matches_classic_solution() {
-        let (a, colors, rhs) = plate(8);
-        let par = ParallelMStepPcg::new(&a, &colors, vec![1.0; 2]).unwrap();
-        let classic = par
-            .solve(&rhs, &variant_opts(PcgVariant::Classic, 4, 1e-8))
-            .unwrap();
-        let sr = par
-            .solve(&rhs, &variant_opts(PcgVariant::SingleReduction, 4, 1e-8))
-            .unwrap();
-        assert!(classic.converged && sr.converged);
-        assert_eq!(classic.variant, PcgVariant::Classic);
-        assert_eq!(sr.variant, PcgVariant::SingleReduction);
-        assert!(
-            (classic.iterations as isize - sr.iterations as isize).abs() <= 2,
-            "classic {} vs single-reduction {}",
-            classic.iterations,
-            sr.iterations
-        );
-        for (x, y) in classic.x.iter().zip(&sr.x) {
-            assert!((x - y).abs() < 1e-6, "{x} vs {y}");
-        }
-    }
-
-    /// The acceptance gate of the single-reduction schedule: the
-    /// instrumented barrier proves `m·(2C−1) + 2` barriers per iteration
-    /// (classic: `m·(2C−1) + 3`), and the replicated-reduction counter
-    /// proves ONE reduction phase per iteration (classic: two).
-    #[test]
-    fn barrier_counter_proves_single_reduction_schedule() {
-        let (a, colors, rhs) = plate(8);
-        let c = colors.num_blocks();
-        for m in [1usize, 2, 3] {
-            let par = ParallelMStepPcg::new(&a, &colors, vec![1.0; m]).unwrap();
-            let sweep = m * (2 * c - 1);
-            for threads in [1usize, 4] {
-                let classic = par
-                    .solve(&rhs, &variant_opts(PcgVariant::Classic, threads, 1e-8))
-                    .unwrap();
-                let sr = par
-                    .solve(
-                        &rhs,
-                        &variant_opts(PcgVariant::SingleReduction, threads, 1e-8),
-                    )
-                    .unwrap();
-                let (kc, ks) = (classic.iterations, sr.iterations);
-                assert!(kc >= 1 && ks >= 1);
-                // Classic: init sweep, k−1 full iterations of sweep + 3
-                // barriers, converging iteration stops after its second.
-                assert_eq!(
-                    classic.barrier_crossings,
-                    sweep + (kc - 1) * (sweep + 3) + 2,
-                    "classic barrier count, m = {m}, threads = {threads}"
-                );
-                // Single-reduction: init sweep + the w-phase barrier, k−1
-                // full iterations of sweep + 2, converging iteration stops
-                // after the mega-update barrier.
-                assert_eq!(
-                    sr.barrier_crossings,
-                    sweep + 1 + (ks - 1) * (sweep + 2) + 1,
-                    "single-reduction barrier count, m = {m}, threads = {threads}"
-                );
-                // Reduction phases: two per classic iteration, ONE per
-                // single-reduction iteration (init phase included, the
-                // converging iteration's phases as scheduled above).
-                assert_eq!(classic.reduction_phases, 2 * kc, "classic phases, m = {m}");
-                assert_eq!(sr.reduction_phases, ks, "single-reduction phases, m = {m}");
-            }
-        }
-    }
-
-    #[test]
-    fn plain_cg_single_reduction_runs_two_barriers_per_iteration() {
-        let (a, colors, rhs) = plate(6);
-        let par = ParallelMStepPcg::new(&a, &colors, vec![]).unwrap();
-        let sr = par
-            .solve(&rhs, &variant_opts(PcgVariant::SingleReduction, 3, 1e-8))
-            .unwrap();
-        assert!(sr.converged);
-        // z ≡ r drops the preconditioner phases entirely: 1 init barrier,
-        // 2 per full iteration, 1 on the converging iteration.
-        assert_eq!(sr.barrier_crossings, 2 * sr.iterations);
-        let exact = a.to_dense().cholesky().unwrap().solve(&rhs);
-        for (x, v) in sr.x.iter().zip(&exact) {
-            assert!((x - v).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn single_reduction_is_deterministic_and_format_insensitive() {
-        let (a, colors, rhs) = plate(7);
-        let sell = mspcg_sparse::SellCsMatrix::from_csr_default(&a);
-        let par_csr = ParallelMStepPcg::new(&a, &colors, vec![1.0; 2]).unwrap();
-        let par_sell = ParallelMStepPcg::new(&sell, &colors, vec![1.0; 2]).unwrap();
-        let opts = variant_opts(PcgVariant::SingleReduction, 4, 1e-9);
-        let r1 = par_csr.solve(&rhs, &opts).unwrap();
-        let r2 = par_csr.solve(&rhs, &opts).unwrap();
-        // Bitwise reproducible within the variant.
-        assert_eq!(r1.iterations, r2.iterations);
-        assert_eq!(r1.x, r2.x);
-        // And across storage formats (one extracted sweep table).
-        let rs = par_sell.solve(&rhs, &opts).unwrap();
-        assert_eq!(r1.iterations, rs.iterations);
-        assert!(r1
-            .x
-            .iter()
-            .zip(&rs.x)
-            .all(|(u, v)| u.to_bits() == v.to_bits()));
-    }
-
-    #[test]
-    fn single_reduction_budget_and_zero_budget_match_classic_reporting() {
-        let (a, colors, rhs) = plate(6);
-        let par = ParallelMStepPcg::new(&a, &colors, vec![1.0]).unwrap();
-        let err = par.solve(
-            &rhs,
-            &ParallelSolverOptions {
-                threads: 2,
-                tol: 1e-14,
-                max_iterations: 2,
-                variant: PcgVariant::SingleReduction,
-                ..Default::default()
-            },
-        );
-        assert!(matches!(
-            err,
-            Err(SparseError::DidNotConverge { iterations: 2, .. })
-        ));
-        let err = par.solve(
-            &rhs,
-            &ParallelSolverOptions {
-                threads: 2,
-                tol: 1e-8,
-                max_iterations: 0,
-                variant: PcgVariant::SingleReduction,
-                ..Default::default()
-            },
-        );
-        assert!(matches!(
-            err,
-            Err(SparseError::DidNotConverge { iterations: 0, .. })
-        ));
-    }
-
-    #[test]
     fn pipelined_matches_classic_solution() {
         let (a, colors, rhs) = plate(8);
         let par = ParallelMStepPcg::new(&a, &colors, vec![1.0; 2]).unwrap();
@@ -3256,11 +2783,10 @@ mod tests {
     ///   converging iteration's γ′/δ ride the same wait as its stopping
     ///   test, so it is counted too).
     ///
-    /// The classic and single-reduction schedules must be byte-for-byte
-    /// unchanged by the pipelined addition — their formulas are asserted
-    /// here as well (at m ≥ 1; the existing counter test pins them too),
-    /// along with `split_crossings == 0`: those schedules never touch the
-    /// split barrier.
+    /// The classic schedule must be byte-for-byte unchanged by the
+    /// pipelined addition — its barrier and reduction-phase formulas are
+    /// asserted here as well, along with `split_crossings == 0`: the
+    /// classic schedule never touches the split barrier.
     #[test]
     fn barrier_counter_proves_pipelined_schedule() {
         let (a, colors, rhs) = plate(8);
@@ -3296,20 +2822,13 @@ mod tests {
                     "pipelined reduction phases, m = {m}, threads = {threads}"
                 );
 
-                // Classic and single-reduction schedules unchanged (and
-                // split-barrier free).
+                // Classic schedule unchanged (and split-barrier free).
                 let classic = par
                     .solve(&rhs, &variant_opts(PcgVariant::Classic, threads, 1e-8))
                     .unwrap();
-                let sr = par
-                    .solve(
-                        &rhs,
-                        &variant_opts(PcgVariant::SingleReduction, threads, 1e-8),
-                    )
-                    .unwrap();
                 assert_eq!(classic.split_crossings, 0);
-                assert_eq!(sr.split_crossings, 0);
-                let (kc, ks) = (classic.iterations, sr.iterations);
+                let kc = classic.iterations;
+                assert!(kc >= 1);
                 // Classic m = 0 still pays a one-barrier z ← r copy phase
                 // where an m ≥ 1 run pays the sweep.
                 let msolve = if m == 0 { 1 } else { sweep };
@@ -3318,16 +2837,10 @@ mod tests {
                     msolve + (kc - 1) * (msolve + 3) + 2,
                     "classic barrier count changed, m = {m}, threads = {threads}"
                 );
-                if m == 0 {
-                    // SR plain CG: z ≡ r, two barriers per iteration.
-                    assert_eq!(sr.barrier_crossings, 2 * ks);
-                } else {
-                    assert_eq!(
-                        sr.barrier_crossings,
-                        sweep + 1 + (ks - 1) * (sweep + 2) + 1,
-                        "single-reduction barrier count changed, m = {m}"
-                    );
-                }
+                // Two serialized reduction phases per classic iteration
+                // (init phase included, the converging iteration stops
+                // after its first).
+                assert_eq!(classic.reduction_phases, 2 * kc, "classic phases, m = {m}");
             }
         }
     }
@@ -3469,11 +2982,7 @@ mod tests {
     fn audit_phase_costs_one_barrier_and_nothing_else() {
         let (a, colors, rhs) = plate(8);
         let par = ParallelMStepPcg::new(&a, &colors, vec![1.0]).unwrap();
-        for variant in [
-            PcgVariant::Classic,
-            PcgVariant::SingleReduction,
-            PcgVariant::Pipelined,
-        ] {
+        for variant in [PcgVariant::Classic, PcgVariant::Pipelined] {
             let off = par.solve(&rhs, &variant_opts(variant, 4, 1e-8)).unwrap();
             let mut opts = variant_opts(variant, 4, 1e-8);
             opts.recovery = RecoveryPolicy {
@@ -3560,32 +3069,9 @@ mod tests {
         let par = ParallelMStepPcg::new(&a, &colors, vec![1.0]).unwrap();
         let exact = exact_solution(&a, &rhs);
 
-        // SingleReduction: detect at the poisoned γ′ → one step down →
-        // classic absorbs the re-fired fault in place.
-        let sr = par
-            .solve_with_faults(
-                &rhs,
-                &variant_opts(PcgVariant::SingleReduction, 4, 1e-8),
-                &nan_msolve_at(2),
-            )
-            .unwrap();
-        assert!(sr.converged);
-        assert_eq!(sr.variant, PcgVariant::Classic);
-        assert_eq!(
-            (
-                sr.faults_detected,
-                sr.replacements,
-                sr.recoveries,
-                sr.audits
-            ),
-            (2, 1, 1, 0)
-        );
-        for (x, v) in sr.x.iter().zip(&exact) {
-            assert!((x - v).abs() < 1e-5, "{x} vs {v}");
-        }
-
         // Pipelined: the poisoned auxiliary surfaces one iteration later
-        // in γ′/δ → two steps down, three detections total.
+        // in γ′/δ → one step down → classic absorbs the re-fired fault in
+        // place: two detections total.
         let pl = par
             .solve_with_faults(
                 &rhs,
@@ -3602,7 +3088,7 @@ mod tests {
                 pl.recoveries,
                 pl.audits
             ),
-            (3, 1, 2, 0)
+            (2, 1, 1, 0)
         );
         for (x, v) in pl.x.iter().zip(&exact) {
             assert!((x - v).abs() < 1e-5, "{x} vs {v}");
@@ -3720,7 +3206,6 @@ mod tests {
     /// cross-strip where the sweep reads own-strip):
     ///
     /// * classic: `k + (I−1)(k+3) + 2` crossings, `2I` reduction phases,
-    /// * single-reduction: `k+1 + (I−1)(k+2) + 1` crossings, `I` phases,
     /// * pipelined: `(I+2)k + I + 1` spin crossings (init `2k+1`, each
     ///   iteration `k+1`), `I+1` split crossings, `I+1` phases.
     #[test]
@@ -3732,29 +3217,18 @@ mod tests {
                 let classic = par
                     .solve(&rhs, &variant_opts(PcgVariant::Classic, threads, 1e-8))
                     .unwrap();
-                let sr = par
-                    .solve(
-                        &rhs,
-                        &variant_opts(PcgVariant::SingleReduction, threads, 1e-8),
-                    )
-                    .unwrap();
                 let pl = par
                     .solve(&rhs, &variant_opts(PcgVariant::Pipelined, threads, 1e-8))
                     .unwrap();
-                assert!(classic.converged && sr.converged && pl.converged);
+                assert!(classic.converged && pl.converged);
                 assert_eq!(classic.variant, PcgVariant::Classic);
-                assert_eq!(
-                    sr.variant,
-                    PcgVariant::SingleReduction,
-                    "fell back, k = {k}, threads = {threads}"
-                );
                 assert_eq!(
                     pl.variant,
                     PcgVariant::Pipelined,
                     "fell back, k = {k}, threads = {threads}"
                 );
-                let (ic, is, ip) = (classic.iterations, sr.iterations, pl.iterations);
-                assert!(ic >= 1 && is >= 1 && ip >= 1);
+                let (ic, ip) = (classic.iterations, pl.iterations);
+                assert!(ic >= 1 && ip >= 1);
                 assert_eq!(
                     classic.barrier_crossings,
                     k + (ic - 1) * (k + 3) + 2,
@@ -3762,13 +3236,6 @@ mod tests {
                 );
                 assert_eq!(classic.reduction_phases, 2 * ic);
                 assert_eq!(classic.split_crossings, 0);
-                assert_eq!(
-                    sr.barrier_crossings,
-                    k + 1 + (is - 1) * (k + 2) + 1,
-                    "single-reduction poly barrier count, k = {k}, threads = {threads}"
-                );
-                assert_eq!(sr.reduction_phases, is);
-                assert_eq!(sr.split_crossings, 0);
                 assert_eq!(
                     pl.barrier_crossings,
                     (ip + 2) * k + ip + 1,
@@ -3786,11 +3253,7 @@ mod tests {
         let sell = mspcg_sparse::SellCsMatrix::from_csr_default(&a);
         let par_csr = ParallelMStepPcg::poly(&a, &colors, PolyKind::Chebyshev, 3).unwrap();
         let par_sell = ParallelMStepPcg::poly(&sell, &colors, PolyKind::Chebyshev, 3).unwrap();
-        for variant in [
-            PcgVariant::Classic,
-            PcgVariant::SingleReduction,
-            PcgVariant::Pipelined,
-        ] {
+        for variant in [PcgVariant::Classic, PcgVariant::Pipelined] {
             let opts = variant_opts(variant, 4, 1e-8);
             let r1 = par_csr.solve(&rhs, &opts).unwrap();
             let r2 = par_csr.solve(&rhs, &opts).unwrap();
@@ -3821,8 +3284,7 @@ mod tests {
         let exact = exact_solution(&a, &rhs);
         for (variant, final_variant, counters) in [
             (PcgVariant::Classic, PcgVariant::Classic, (1, 1, 0)),
-            (PcgVariant::SingleReduction, PcgVariant::Classic, (2, 1, 1)),
-            (PcgVariant::Pipelined, PcgVariant::Classic, (3, 1, 2)),
+            (PcgVariant::Pipelined, PcgVariant::Classic, (2, 1, 1)),
         ] {
             let rep = par
                 .solve_with_faults(&rhs, &variant_opts(variant, 4, 1e-8), &nan_msolve_at(2))
@@ -3971,7 +3433,7 @@ mod tests {
     ///
     /// * **reduction phases `B`** — ONE fused Gram phase per `s`
     ///   iterations (no init phase), against the classic `2I` and the
-    ///   single-reduction/pipelined `I + 1`;
+    ///   pipelined `I + 1`;
     /// * **spin crossings `B·(s·sweep + 2s)`** for m ≥ 1 (`sweep =
     ///   m(2C−1)`) and `B·(s + 1)` for plain CG, where `v₁ ≡ r` and the
     ///   Chebyshev step fuses into the SpMV phase;
@@ -4090,11 +3552,10 @@ mod tests {
         }
     }
 
-    /// The four-rung ladder walk: the persistent msolve fault poisons the
-    /// s-step basis (detected at the fused Gram phase), re-fires on the
-    /// pipelined and single-reduction reruns, and is absorbed in place by
-    /// the classic rung — four detections, three step-downs, one
-    /// replacement.
+    /// The full three-rung ladder walk: the persistent msolve fault
+    /// poisons the s-step basis (detected at the fused Gram phase),
+    /// re-fires on the pipelined rerun, and is absorbed in place by the
+    /// classic rung — three detections, two step-downs, one replacement.
     #[test]
     fn sstep_walks_the_full_ladder_under_persistent_fault() {
         let (a, colors, rhs) = plate(6);
@@ -4115,7 +3576,7 @@ mod tests {
                 rep.recoveries,
                 rep.audits
             ),
-            (4, 1, 3, 0)
+            (3, 1, 2, 0)
         );
         for (x, v) in rep.x.iter().zip(&exact_solution(&a, &rhs)) {
             assert!((x - v).abs() < 1e-5, "{x} vs {v}");

@@ -70,16 +70,12 @@ pub enum PcgVariant {
     /// products per iteration (`(p, Kp)`, then `(r̂, r)` after the
     /// preconditioner).
     Classic,
-    /// Chronopoulos–Gear two-term recurrence: carry `s = Kp` and `w = Kz`
+    /// Ghysels–Vanroose pipelined recurrence: carry `s = Kp`, `w = Kz`,
+    /// `q = M⁻¹s` and `K·q`, and recompute `mv = M⁻¹w` and `nv = K·mv`,
     /// so `α` and `β` both come out of **one** fused reduction phase per
-    /// iteration — the communication-avoiding form.
-    SingleReduction,
-    /// Ghysels–Vanroose pipelined recurrence: additionally carry
-    /// `mv = M⁻¹w` and `nv = K·mv` (with the direction carries `q` and
-    /// `z`), so the one reduction of the single-reduction form is
-    /// **initiated before** the preconditioner + SpMV of the next
-    /// iteration and **consumed after** them — the reduction latency
-    /// hides behind the heaviest phase instead of merely being fused.
+    /// iteration that is **initiated before** the preconditioner + SpMV
+    /// and **consumed after** them — the reduction latency hides behind
+    /// the heaviest phase.
     Pipelined,
     /// s-step (communication-avoiding) CG: per outer step build an
     /// `s`-dimensional Krylov block with a Chebyshev-basis three-term
@@ -108,8 +104,9 @@ impl PcgVariant {
     /// # Errors
     /// [`SparseError::InvalidPartition`] for an [`PcgVariant::SStep`] block
     /// width outside `2 ..= MAX_SSTEP_S`: `s = 0` is an empty block, `s = 1`
-    /// is the single-reduction iteration with extra overhead, and a width
-    /// past [`MAX_SSTEP_S`] is a misconfiguration.
+    /// pays one reduction phase per iteration — the pipelined variant's
+    /// rate — plus the block overhead, and a width past [`MAX_SSTEP_S`] is
+    /// a misconfiguration.
     pub fn resolve(self) -> Result<PcgVariant, SparseError> {
         match self {
             PcgVariant::Auto => Ok(PcgVariant::Classic),
@@ -241,7 +238,6 @@ mod tests {
         assert_eq!(PcgVariant::Auto.resolve(), Ok(PcgVariant::Classic));
         for v in [
             PcgVariant::Classic,
-            PcgVariant::SingleReduction,
             PcgVariant::Pipelined,
             PcgVariant::SStep { s: 2 },
             PcgVariant::SStep { s: MAX_SSTEP_S },

@@ -503,9 +503,9 @@ pub fn fused_xpby_dot(x: &[f64], b: f64, y: &mut [f64], w: &[f64]) -> f64 {
 }
 
 /// `y1 ← x1 + b·y1` and `y2 ← x2 + b·y2` in **one pass** — the paired
-/// direction updates of the single-reduction (Chronopoulos–Gear) PCG
-/// iteration, `p ← z + βp` and `s ← w + βs`, which share the scalar and
-/// the chunk layout.
+/// direction updates of the pipelined PCG iteration, `p ← z + βp` and
+/// `s ← w + βs` (and `q ← mv + βq`, `K·q ← nv + βK·q`), which share the
+/// scalar and the chunk layout.
 ///
 /// Chunk deterministic; for `b != 0.0` bitwise identical to the unfused
 /// `xpby(x1, b, y1); xpby(x2, b, y2)` sequence (same layout, same
@@ -606,83 +606,16 @@ pub fn fused_axpy2(a: f64, x1: &[f64], y1: &mut [f64], x2: &[f64], y2: &mut [f64
     });
 }
 
-/// [`fused_xpby_xpby`] that additionally returns the inner product of the
-/// **updated** vectors, `(y1, y2)` — for the single-reduction PCG this is
-/// the `(p, s)` curvature guard, formed while both operands are still in
-/// cache from their own updates instead of by a separate [`dot`] pass
-/// (the SPMD mega-update phase uses this; one memory traversal instead of
-/// two per iteration).
-///
-/// Same update semantics as [`fused_xpby_xpby`] (including the `b == 0.0`
-/// exact-copy path); the returned product is chunk deterministic and
-/// bitwise identical to calling [`dot`]`(y1, y2)` after the updates.
-///
-/// # Panics
-/// Panics if the four slices differ in length.
-pub fn fused_xpby_xpby_dot(x1: &[f64], x2: &[f64], b: f64, y1: &mut [f64], y2: &mut [f64]) -> f64 {
-    let n = x1.len();
-    assert_eq!(x2.len(), n, "fused_xpby_xpby_dot: x2 length mismatch");
-    assert_eq!(y1.len(), n, "fused_xpby_xpby_dot: y1 length mismatch");
-    assert_eq!(y2.len(), n, "fused_xpby_xpby_dot: y2 length mismatch");
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let update = |lo: usize, hi: usize, y1c: &mut [f64], y2c: &mut [f64]| -> f64 {
-        if b == 0.0 {
-            y1c.copy_from_slice(&x1[lo..hi]);
-            y2c.copy_from_slice(&x2[lo..hi]);
-        } else {
-            for (yi, xi) in y1c.iter_mut().zip(&x1[lo..hi]) {
-                *yi = xi + b * *yi;
-            }
-            for (yi, xi) in y2c.iter_mut().zip(&x2[lo..hi]) {
-                *yi = xi + b * *yi;
-            }
-        }
-        dot_chunk(y1c, y2c)
-    };
-    let threads = par::threads_for(n, tuning::PAR_MIN_ELEMS);
-    if threads <= 1 {
-        let mut acc = 0.0;
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            let (head, tail) = (&mut y1[lo..hi], &mut y2[lo..hi]);
-            acc += update(lo, hi, head, tail);
-        }
-        return acc;
-    }
-    let mut partials = [0.0f64; par::MAX_PARTIALS];
-    {
-        let y1s = par::ParSlice::new(y1);
-        let y2s = par::ParSlice::new(y2);
-        let ps = par::ParSlice::new(&mut partials);
-        par::for_each_chunk(nchunks, threads, &|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            // SAFETY: chunks are disjoint and each claimed exactly once;
-            // partial slot `c` is written only by this chunk.
-            unsafe {
-                let d = update(lo, hi, y1s.slice_mut(lo..hi), y2s.slice_mut(lo..hi));
-                ps.set(c, d);
-            }
-        });
-    }
-    let mut acc = 0.0;
-    for &p in &partials[..nchunks] {
-        acc += p;
-    }
-    acc
-}
-
 /// Reduction results of [`fused_dot3_norm`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Dot3Norm {
-    /// `(r, z)` — `γ` of the Chronopoulos–Gear recurrence.
+    /// `(r, z)` — `γ` of the pipelined recurrence.
     pub rz: f64,
     /// `(w, z)` — `δ` of the recurrence (`w = Kz`).
     pub wz: f64,
     /// `(p, s)` — the *directly measured* curvature `(p, Kp)` of the
     /// direction currently carried in the workspace (the recurrence only
-    /// reconstructs it); the single-reduction breakdown guard.
+    /// reconstructs it); the pipelined breakdown guard.
     pub ps: f64,
     /// `‖r‖₂`, finished from the caller-provided `‖r‖∞` exactly like
     /// [`norm2_with_max`].
@@ -727,9 +660,9 @@ fn dot3_norm_chunk(
     })
 }
 
-/// The single-reduction PCG fused reduction phase: in **one pass** over
-/// the fixed chunk layout, compute the three inner products the
-/// Chronopoulos–Gear recurrence consumes — `(r, z)`, `(w, z)` and the
+/// The pipelined PCG fused reduction phase: in **one pass** over the
+/// fixed chunk layout, compute the three inner products the pipelined
+/// recurrence consumes — `(r, z)`, `(w, z)` and the
 /// `(p, s)` breakdown guard — plus the relative-residual stopping norm
 /// `‖r‖₂` (finished from the caller-provided `r_maxabs = ‖r‖∞`, which the
 /// preceding [`fused_axpy_axpy_norm`] already produced). One memory
@@ -1288,37 +1221,6 @@ mod tests {
             let mut y1 = y10.clone();
             let mut y2 = y20.clone();
             fused_xpby_xpby(&x1, &x2, b, &mut y1, &mut y2);
-            assert!(y1
-                .iter()
-                .zip(&y1_ref)
-                .all(|(a, c)| a.to_bits() == c.to_bits()));
-            assert!(y2
-                .iter()
-                .zip(&y2_ref)
-                .all(|(a, c)| a.to_bits() == c.to_bits()));
-        }
-    }
-
-    #[test]
-    fn fused_xpby_xpby_dot_matches_updates_then_dot() {
-        let n = crate::par::MIN_REDUCTION_CHUNK + 61;
-        let x1: Vec<f64> = (0..n).map(|i| ((i * 19 + 3) % 127) as f64 * 0.02).collect();
-        let x2: Vec<f64> = (0..n)
-            .map(|i| ((i * 7 + 11) % 113) as f64 * 0.03 - 1.5)
-            .collect();
-        let y10: Vec<f64> = (0..n).map(|i| ((i * 3 + 1) % 71) as f64 * 0.1).collect();
-        let y20: Vec<f64> = (0..n)
-            .map(|i| ((i * 13 + 5) % 83) as f64 * 0.05 - 2.0)
-            .collect();
-        for b in [0.0, 0.62, -1.1] {
-            let mut y1_ref = y10.clone();
-            let mut y2_ref = y20.clone();
-            fused_xpby_xpby(&x1, &x2, b, &mut y1_ref, &mut y2_ref);
-            let d_ref = dot(&y1_ref, &y2_ref);
-            let mut y1 = y10.clone();
-            let mut y2 = y20.clone();
-            let d = fused_xpby_xpby_dot(&x1, &x2, b, &mut y1, &mut y2);
-            assert_eq!(d.to_bits(), d_ref.to_bits(), "b = {b}");
             assert!(y1
                 .iter()
                 .zip(&y1_ref)

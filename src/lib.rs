@@ -55,25 +55,19 @@
 //!   reduction into the phase producing its operands and replicates the
 //!   scalar reductions across workers: `m·(2C−1) + 3` barriers per
 //!   iteration (C colors, m steps), down from `m·(2C−1) + 9`.
-//! * **Single-reduction (communication-avoiding) variant** — classic PCG
-//!   serializes two inner products per iteration: `(p, Kp)` before α,
-//!   `(r̂, r)` before β. `PcgVariant::SingleReduction` runs the
-//!   Chronopoulos–Gear two-term recurrence instead — carry `s = Kp` and
-//!   `w = Kz`, reconstruct `α = γ′/(δ − β·γ′/α)` — so both scalars come
-//!   out of **one** fused reduction phase (`vecops::fused_dot3_norm`:
-//!   `(r, z)`, `(w, z)`, the `(p, s)` breakdown guard and the stopping
-//!   norm, in one sweep). Per-iteration cost model:
+//! * **Communication-avoiding variants** — classic PCG serializes two
+//!   inner products per iteration: `(p, Kp)` before α, `(r̂, r)` before
+//!   β. `PcgVariant::Pipelined` and `PcgVariant::SStep { s }` (below)
+//!   reorganize the recurrence so fewer reduction phases block the
+//!   iteration. Per-iteration cost model:
 //!
 //!   | schedule | reduction phases | SPMD barriers | reduction overlap window |
 //!   |---|---|---|---|
 //!   | classic | 2 (serialized) | `m·(2C−1) + 3` | — (both block) |
-//!   | single-reduction | **1** | `m·(2C−1) + 2` | — (fused, still blocks) |
 //!   | pipelined | **1, in flight** | **`m·(2C−1)`** + 1 split crossing | the whole `M⁻¹w` + `K·mv` phase |
 //!   | classic, plain CG (`m = 0`) | 2 | 4 | — |
-//!   | single-reduction, plain CG | **1** | **2** (`z ≡ r`) | — |
 //!   | pipelined, plain CG | **1, in flight** | **1** + 1 split crossing | the `K·w` SpMV |
 //!   | classic, polynomial degree `k` | 2 | **`k + 3`** | — |
-//!   | single-reduction, polynomial | **1** | **`k + 2`** | — |
 //!   | pipelined, polynomial | **1, in flight** | **`k + 1`** + 1 split crossing | the `p(G)D⁻¹w` chain + `K·mv` |
 //!   | s-step, block size `s` | **1 per `s` iterations** | `s·m(2C−1) + 2s` per block | — (fused block Gram) |
 //!   | s-step, plain CG | **1 per `s` iterations** | **`s + 1`** per block (`v₁ ≡ r`) | — |
@@ -88,33 +82,34 @@
 //!   determinism across thread counts *within* each variant and
 //!   cross-variant agreement to a residual tolerance
 //!   (`tests/pcg_variants.rs`, `tests/variant_conformance.rs`); on
-//!   recurrence breakdown (`(p, s) ≤ 0`, a nonpositive reconstructed
-//!   denominator, or — pipelined — a nonpositive carried `γ′`) every
-//!   entry point falls back to the classic loop — serial solves continue
-//!   from the current iterate, the SPMD solver reruns the solve.
+//!   recurrence breakdown every entry point steps down the ladder
+//!   (SStep → Pipelined → Classic) — serial solves continue from the
+//!   current iterate, the SPMD solver reruns the solve.
 //!   Selection: `PcgOptions::variant` / `ParallelSolverOptions::variant`
 //!   (`Auto` resolves to classic; an s-step width outside `2..=16` is a
 //!   typed error). `tests/variant_conformance.rs` and
 //!   `tests/edge_cases.rs` run every variant explicitly.
-//! * **Pipelined (Ghysels–Vanroose) variant** — the single-reduction
-//!   schedule still *blocks* at its one reduction barrier.
-//!   `PcgVariant::Pipelined` carries two more recurrence vectors
-//!   (`q = M⁻¹s`, `K·q`) and recomputes `mv = M⁻¹w` / `nv = K·mv` each
-//!   iteration, so the γ/δ reduction reads only vectors finished in the
-//!   update phase: the SPMD executor **initiates** it there
-//!   (`SplitBarrier::arrive`, a new split-phase primitive in
-//!   `mspcg-parallel`) and **consumes** it (`wait`) only after the
-//!   preconditioner + SpMV — the reduction latency hides behind the
-//!   heaviest phase, and the update mega-phase needs *no trailing
-//!   barrier at all* (own-strip analysis + parity-rotated `mv`/partial
-//!   banks), which is why the pipelined iteration runs on `m·(2C−1)`
-//!   full barriers where single-reduction needs `+ 2`. Costs: one
-//!   speculative heavy phase on the converging iteration, ~4 extra
-//!   vector carries, and faster drift (hence the stricter guards). The
-//!   exact schedule — full-barrier, split-crossing and reduction-phase
-//!   formulas at `m ∈ {0..3}` — is pinned by counter tests; honest
-//!   1-core caveat: this container cannot show the latency win, only the
-//!   counter proof (`BENCH_pr5.json` records both).
+//! * **Pipelined (Ghysels–Vanroose) variant** — `PcgVariant::Pipelined`
+//!   carries `s = Kp`, `w = Kz`, `q = M⁻¹s` and `K·q`, recomputes
+//!   `mv = M⁻¹w` / `nv = K·mv` each iteration, and reconstructs
+//!   `α = γ′/(δ − β·γ′/α)`, so both scalars come out of **one** fused
+//!   reduction phase (`vecops::fused_dot3_norm`: `(r, z)`, `(w, z)`, the
+//!   `(p, s)` breakdown guard and the stopping norm, in one sweep) that
+//!   reads only vectors finished in the update phase: the SPMD executor
+//!   **initiates** it there (`SplitBarrier::arrive`, a split-phase
+//!   primitive in `mspcg-parallel`) and **consumes** it (`wait`) only
+//!   after the preconditioner + SpMV — the reduction latency hides
+//!   behind the heaviest phase, and the update mega-phase needs *no
+//!   trailing barrier at all* (own-strip analysis + parity-rotated
+//!   `mv`/partial banks), which is why the pipelined iteration runs on
+//!   `m·(2C−1)` full barriers where classic needs `+ 3`. Costs: one
+//!   speculative heavy phase on the converging iteration, five extra
+//!   vectors, and recurrence drift, hence strict guards: `(p, s) ≤ 0`,
+//!   a nonpositive reconstructed denominator or a nonpositive carried
+//!   `γ′` hands the iterate to the classic rung. The exact schedule —
+//!   full-barrier, split-crossing and reduction-phase formulas at
+//!   `m ∈ {0..3}` — is pinned by counter tests, and `BENCH_pr5.json`
+//!   records both the counters and the wall time.
 //! * **s-step (communication-avoiding) variant** — the pipelined
 //!   schedule still pays one reduction *per iteration*; it merely hides
 //!   the latency. `PcgVariant::SStep { s }` amortizes the count itself:
@@ -214,13 +209,13 @@
 //!   phases** — and a clean audited solve stays *bitwise identical* to
 //!   the unaudited run (an audit that finds no drift only observes).
 //!   Policy: `RecoveryPolicy` on `PcgOptions` / `ParallelSolverOptions`
-//!   (`Auto` enables auditing for the drift-prone single-reduction and
-//!   pipelined recurrences at tolerances ≤ 1e-11; `audit_period: 0`
+//!   (`Auto` enables auditing for the drift-prone pipelined and s-step
+//!   recurrences at tolerances ≤ 1e-11; `audit_period: 0`
 //!   means every 32 iterations). `tests/variant_conformance.rs` runs
 //!   every variant with `RecoveryPolicy::on()` as well as `off()`.
 //! * **Recovery ladder** — a non-finite reduction scalar (or an audit
 //!   divergence in a recurrence schedule) walks SStep → Pipelined →
-//!   SingleReduction → Classic: the recurrence rungs are *detectors*
+//!   Classic: the recurrence rungs are *detectors*
 //!   (they hand the current iterate down one rung, counted as a
 //!   `recovery`/`fallback`), the classic rung *self-heals in place*
 //!   (recompute `f − K·u`, re-derive the direction, counted as a
@@ -238,9 +233,9 @@
 //!   thread count. The two models differ on purpose: a wrapper fault is
 //!   consumed once (lower rungs run clean), a plan fault is *persistent*
 //!   (it re-fires on every ladder rung, so the full walk is exercised —
-//!   a pipelined start under a NaN preconditioner fault proves exactly 3
-//!   detections, 2 step-downs, 1 classic in-place replacement; an s-step
-//!   start proves the full 4-rung walk: 4 detections, 3 step-downs, 1
+//!   a pipelined start under a NaN preconditioner fault proves exactly 2
+//!   detections, 1 step-down, 1 classic in-place replacement; an s-step
+//!   start proves the full 3-rung walk: 3 detections, 2 step-downs, 1
 //!   replacement).
 //!   `tests/fault_injection.rs` runs every variant × executor × family
 //!   under both fault classes with bitwise replay and exact counters.
@@ -251,8 +246,13 @@
 //! `… --bench precond …`, and the fused-kernel / multi-RHS bench
 //! `cargo bench -p mspcg-bench --bench multi_rhs -- --json
 //! BENCH_pr2.json` (committed reference numbers in `BENCH_pr1.json` /
-//! `BENCH_pr2.json` / `BENCH_pr3.json`; this container is single-core —
-//! re-record on a multi-core runner for parallel speedups).
+//! `BENCH_pr2.json` / `BENCH_pr3.json`). These component benches record
+//! one machine's numbers; the end-to-end benchmark of the whole stack —
+//! set-up, time to solution, 1-thread vs `nproc` speedup and a traced
+//! per-layer breakdown — is the separate `perfbench` package
+//! (`cargo run --release --manifest-path perfbench/Cargo.toml --
+//! --workload plate-spmd --seed 1 --seconds 10 --trace 0`, see
+//! `perfbench/README.md`).
 
 pub use mspcg_coloring as coloring;
 pub use mspcg_core as core;

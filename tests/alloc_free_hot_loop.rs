@@ -11,7 +11,7 @@ use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::sparse::{CooMatrix, CsrMatrix, Partition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// System allocator with an allocation-event counter.
 struct CountingAlloc;
@@ -46,6 +46,14 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// The counter is process global and the test harness runs tests on
+/// parallel threads: without this lock one test's set-up allocations land
+/// inside the other's measured window. Every test holds it throughout.
+fn counter_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Red/black 1-D Laplacian in color-blocked form.
 fn rb_laplacian(n: usize) -> (CsrMatrix, Partition) {
     let mut a = CooMatrix::new(n, n);
@@ -63,6 +71,7 @@ fn rb_laplacian(n: usize) -> (CsrMatrix, Partition) {
 
 #[test]
 fn omega_sweep_solves_allocate_nothing_after_workspace_construction() {
+    let _guard = counter_lock();
     let n = 256usize;
     let (a, p) = rb_laplacian(n);
     let matrix = Arc::new(a);
@@ -119,6 +128,7 @@ fn omega_sweep_solves_allocate_nothing_after_workspace_construction() {
 
 #[test]
 fn multi_rhs_batch_solves_allocate_nothing_after_workspace_construction() {
+    let _guard = counter_lock();
     // The batched solver's contract: 32 load cases against one plate
     // stiffness matrix, zero heap allocation per batch once the workspace
     // is warm.

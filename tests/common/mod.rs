@@ -15,9 +15,8 @@ use mspcg::sparse::PcgVariant;
 /// exercised at two block sizes — block granularity (convergence is only
 /// checked every `s` iterations) is why iteration counts are compared
 /// with a slack, not an equality.
-pub const ALL_VARIANTS: [PcgVariant; 5] = [
+pub const ALL_VARIANTS: [PcgVariant; 4] = [
     PcgVariant::Classic,
-    PcgVariant::SingleReduction,
     PcgVariant::Pipelined,
     PcgVariant::SStep { s: 2 },
     PcgVariant::SStep { s: 4 },
@@ -30,7 +29,6 @@ fn exhaustiveness_guard(v: PcgVariant) {
     match v {
         PcgVariant::Auto
         | PcgVariant::Classic
-        | PcgVariant::SingleReduction
         | PcgVariant::Pipelined
         | PcgVariant::SStep { .. } => {}
     }

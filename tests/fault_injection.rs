@@ -166,9 +166,8 @@ fn serial_nan_counters(variant: PcgVariant) -> (usize, usize, usize) {
 fn spmd_nan_counters(variant: PcgVariant) -> (usize, usize, usize) {
     match variant {
         PcgVariant::Classic => (1, 1, 0),
-        PcgVariant::SingleReduction => (2, 1, 1),
-        PcgVariant::Pipelined => (3, 1, 2),
-        PcgVariant::SStep { .. } => (4, 1, 3),
+        PcgVariant::Pipelined => (2, 1, 1),
+        PcgVariant::SStep { .. } => (3, 1, 2),
         PcgVariant::Auto => unreachable!(),
     }
 }

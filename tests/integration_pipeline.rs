@@ -182,7 +182,6 @@ fn preconditioner_applications_match_iteration_count() {
     for variant in [
         PcgVariant::Auto,
         PcgVariant::Classic,
-        PcgVariant::SingleReduction,
         PcgVariant::Pipelined,
         PcgVariant::SStep { s: 2 },
         PcgVariant::SStep { s: 4 },
