@@ -1,7 +1,8 @@
 //! Cost of robustness: residual auditing, replacement, and the recovery
 //! ladder on the Table-3 FEM family.
 //!
-//! Three measurements per variant, serial and SPMD:
+//! Three measurements per SPMD variant, and the first two for the serial
+//! classic solver (which runs the classic loop for every variant):
 //!
 //! * **clean/off** — the PR-5 baseline schedule with recovery pinned off,
 //! * **clean/audited** — the same solve under `audit_period = 4`
@@ -10,7 +11,7 @@
 //!   fused `f − K·u` phase per audit (+1 barrier, no reduction phase, in
 //!   the SPMD executor — asserted in-run),
 //! * **faulted** — a NaN injected into the iteration-2 preconditioner
-//!   application; the ladder must absorb it (classic in place, the
+//!   application (SPMD); the ladder must absorb it (classic in place, the
 //!   recurrence schedules by stepping down) with the exact detection /
 //!   replacement / recovery counters pinned.
 //!
@@ -47,7 +48,7 @@ fn audit_on() -> RecoveryPolicy {
 }
 
 /// Serial audit overhead on one Table-3 plate: clean/off vs clean/audited
-/// vs a ladder walk under a consumed-once NaN preconditioner fault.
+/// classic.
 fn bench_serial(results: &mut Vec<BenchResult>, a: usize, m: usize) {
     let (_, ord) = ordered_plate(a).expect("plate");
     let n = ord.matrix.rows();
@@ -58,51 +59,43 @@ fn bench_serial(results: &mut Vec<BenchResult>, a: usize, m: usize) {
             .expect("preconditioner");
     let mut ws = PcgWorkspace::new(n);
     let mut u = vec![0.0; n];
-    for variant in VARIANTS {
-        let group = format!("recovery_serial_plate{a}_m{m}");
-        let mut opts = PcgOptions {
-            tol: 1e-8,
-            variant,
-            recovery: RecoveryPolicy::off(),
-            ..Default::default()
-        };
-        let record_off = bench(&group, &format!("{}_off", variant_name(variant)), || {
-            u.fill(0.0);
-            pcg_try_solve_into(&matrix, &ord.rhs, &mut u, &pre, &opts, &mut ws).expect("solve");
-        });
-        let off_iterate = u.clone();
-
-        opts.recovery = audit_on();
-        let record_aud = bench(
-            &group,
-            &format!("{}_audited", variant_name(variant)),
-            || {
-                u.fill(0.0);
-                pcg_try_solve_into(&matrix, &ord.rhs, &mut u, &pre, &opts, &mut ws).expect("solve");
-            },
-        );
+    let group = format!("recovery_serial_plate{a}_m{m}");
+    let mut opts = PcgOptions {
+        tol: 1e-8,
+        recovery: RecoveryPolicy::off(),
+        ..Default::default()
+    };
+    let record_off = bench(&group, "classic_off", || {
         u.fill(0.0);
-        let rep =
-            pcg_try_solve_into(&matrix, &ord.rhs, &mut u, &pre, &opts, &mut ws).expect("solve");
-        assert!(rep.converged, "{group}: audited solve did not converge");
-        // A clean audit observes and never replaces: same trajectory, to
-        // the bit, as the unaudited run.
-        assert_eq!(rep.stats.replacements, 0, "{group}: clean audit replaced");
-        assert!(rep.stats.audits >= 1, "{group}: no audit ran");
-        assert!(
-            u.iter()
-                .zip(&off_iterate)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{group}: auditing changed the iterate"
-        );
-        let overhead = record_aud.mean_ns / record_off.mean_ns.max(1.0);
-        results.push(record_off.with_extra("iterations", rep.iterations as f64));
-        results.push(
-            record_aud
-                .with_extra("audits", rep.stats.audits as f64)
-                .with_extra("audit_overhead_x", overhead),
-        );
-    }
+        pcg_try_solve_into(&matrix, &ord.rhs, &mut u, &pre, &opts, &mut ws).expect("solve");
+    });
+    let off_iterate = u.clone();
+
+    opts.recovery = audit_on();
+    let record_aud = bench(&group, "classic_audited", || {
+        u.fill(0.0);
+        pcg_try_solve_into(&matrix, &ord.rhs, &mut u, &pre, &opts, &mut ws).expect("solve");
+    });
+    u.fill(0.0);
+    let rep = pcg_try_solve_into(&matrix, &ord.rhs, &mut u, &pre, &opts, &mut ws).expect("solve");
+    assert!(rep.converged, "{group}: audited solve did not converge");
+    // A clean audit observes and never replaces: same trajectory, to
+    // the bit, as the unaudited run.
+    assert_eq!(rep.stats.replacements, 0, "{group}: clean audit replaced");
+    assert!(rep.stats.audits >= 1, "{group}: no audit ran");
+    assert!(
+        u.iter()
+            .zip(&off_iterate)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "{group}: auditing changed the iterate"
+    );
+    let overhead = record_aud.mean_ns / record_off.mean_ns.max(1.0);
+    results.push(record_off.with_extra("iterations", rep.iterations as f64));
+    results.push(
+        record_aud
+            .with_extra("audits", rep.stats.audits as f64)
+            .with_extra("audit_overhead_x", overhead),
+    );
 }
 
 /// SPMD audit overhead + ladder cost on one Table-3 plate. The audit's

@@ -36,8 +36,9 @@
 //!   competes with (effective per iteration, but inherently sequential),
 //! * [`recovery`] — fault injection ([`recovery::FaultyOp`],
 //!   [`recovery::FaultyPreconditioner`]), residual auditing with
-//!   replacement, and the [`recovery::RecoveryPolicy`] ladder that steps
-//!   SStep → Pipelined → Classic on breakdown or detected corruption.
+//!   replacement, and the [`recovery::RecoveryPolicy`] that bounds the
+//!   in-place restarts of the classic loop and the SPMD executor's
+//!   SStep → Pipelined → Classic ladder.
 
 // Indexed `for i in 0..n` loops are deliberate throughout the numeric
 // kernels: they address several parallel arrays (CSR structure, split

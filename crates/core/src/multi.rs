@@ -39,14 +39,9 @@ pub enum SolveStatus {
     /// The stopping test fired within the iteration budget, with no
     /// recovery of any kind — a clean solve.
     Converged,
-    /// Converged, but only after the recovery ladder stepped down at
-    /// least once (`stats.fallbacks > 0`): the result is trustworthy, but
-    /// the requested variant did not finish the job on its own.
-    Recovered,
     /// Converged after one or more residual replacements or in-place
-    /// non-finite recoveries (`stats.replacements > 0`) without any
-    /// ladder step — drift or corruption was caught and repaired inside
-    /// the requested variant.
+    /// non-finite recoveries (`stats.replacements > 0`) — drift or
+    /// corruption was caught and repaired inside the solve.
     Replaced,
     /// The budget ran out; the report carries the true final residual.
     BudgetExhausted,
@@ -59,10 +54,7 @@ impl SolveStatus {
     /// Whether this status means the returned iterate satisfies the
     /// stopping test (cleanly or rescued).
     pub fn is_converged(self) -> bool {
-        matches!(
-            self,
-            SolveStatus::Converged | SolveStatus::Recovered | SolveStatus::Replaced
-        )
+        matches!(self, SolveStatus::Converged | SolveStatus::Replaced)
     }
 }
 
@@ -97,10 +89,10 @@ impl RhsOutcome {
 pub struct MultiRhsSummary {
     /// Right-hand sides processed.
     pub solved: usize,
-    /// How many converged (cleanly, recovered, or replaced).
+    /// How many converged (cleanly or replaced).
     pub converged: usize,
     /// How many of the converged needed a rescue
-    /// ([`SolveStatus::Recovered`] or [`SolveStatus::Replaced`]).
+    /// ([`SolveStatus::Replaced`]).
     pub rescued: usize,
     /// Iterations summed over the batch.
     pub total_iterations: usize,
@@ -231,9 +223,7 @@ impl BatchPtrs {
 /// let mut ws = MultiRhsWorkspace::new(4, 2);
 /// let sum = pcg_solve_multi(&k, &f, &mut u, &m, &PcgOptions::default(), &mut ws)?;
 /// assert_eq!(sum.converged, 2);
-/// // Recovered/Replaced also satisfy the stopping test — check the
-/// // status class, not the exact variant (a communication-avoiding
-/// // schedule may rescue itself on a tiny system).
+/// // Replaced also satisfies the stopping test — check the status class.
 /// assert!(ws.outcomes().iter().all(|o| o.status.is_converged()));
 /// # Ok::<(), mspcg_sparse::SparseError>(())
 /// ```
@@ -282,7 +272,7 @@ pub fn pcg_solve_multi<A: SparseOp>(
 
     // Reject poisoned inputs before any lane starts: a NaN smuggled in
     // through one right-hand side would otherwise burn that lane's whole
-    // iteration budget (or a recovery ladder walk) on garbage.
+    // iteration budget (or its in-place restarts) on garbage.
     if !(opts.tol.is_finite() && opts.tol > 0.0) {
         return Err(SparseError::InvalidTolerance { value: opts.tol });
     }
@@ -400,8 +390,6 @@ fn solve_one_into<A: SparseOp>(
         Ok(report) => RhsOutcome {
             status: if !report.converged {
                 SolveStatus::BudgetExhausted
-            } else if report.stats.fallbacks > 0 {
-                SolveStatus::Recovered
             } else if report.stats.replacements > 0 {
                 SolveStatus::Replaced
             } else {
@@ -655,48 +643,11 @@ mod tests {
         let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
         assert_eq!(pre.injected(), 1);
         let out = &ws.outcomes()[0];
-        // Classic recovers in place: a replacement, no ladder step.
+        // Classic recovers in place: a replacement.
         assert_eq!(out.status, SolveStatus::Replaced);
         assert!(out.status.is_converged());
         assert_eq!(out.report.stats.replacements, 1);
         assert_eq!(out.report.stats.fallbacks, 0);
-        assert_eq!(out.report.stats.faults_detected, 1);
-        assert_eq!(sum.converged, 1);
-        assert_eq!(sum.rescued, 1);
-    }
-
-    #[test]
-    fn ladder_step_surfaces_as_recovered_status() {
-        use crate::pcg::{PcgVariant, StoppingCriterion};
-        use crate::preconditioner::IdentityPreconditioner;
-        use crate::recovery::{ApplicationFault, FaultKind, FaultyPreconditioner};
-
-        let (a, _p) = rb_laplacian(32);
-        let f = batch_rhs(32, 1);
-        let mut u = vec![0.0; 32];
-        let pre = FaultyPreconditioner::new(
-            IdentityPreconditioner::new(32),
-            vec![ApplicationFault {
-                application: 2,
-                index: 5,
-                kind: FaultKind::NaN,
-            }],
-        );
-        // Pipelined has no same-rung restart for a poisoned scalar: it
-        // steps down the ladder to classic, which must finish the job.
-        let opts = PcgOptions {
-            tol: 1e-10,
-            criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::Pipelined,
-            ..Default::default()
-        };
-        let mut ws = MultiRhsWorkspace::new(32, 1);
-        let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(pre.injected(), 1);
-        let out = &ws.outcomes()[0];
-        assert_eq!(out.status, SolveStatus::Recovered);
-        assert!(out.status.is_converged());
-        assert!(out.report.stats.fallbacks >= 1);
         assert_eq!(out.report.stats.faults_detected, 1);
         assert_eq!(sum.converged, 1);
         assert_eq!(sum.rescued, 1);

@@ -36,7 +36,8 @@
 //!
 //! The spectral interval comes from [`mspcg_sparse::lanczos`] on the
 //! symmetric similar operator `D^{-1/2}K D^{-1/2}` — the matrix-free
-//! recipe of [`crate::splitting::JacobiSplitting::spectrum_interval`],
+//! recipe of [`JacobiSplitting`](crate::splitting::JacobiSplitting)'s
+//! [`Splitting::spectrum_interval`](crate::splitting::Splitting::spectrum_interval),
 //! but safeguarded *relatively* on both ends ([`jacobi_spectrum`]) so a
 //! small `λ₁` keeps its order of magnitude — and is **cached** in the
 //! preconditioner: repeated applications (every PCG iteration) and
@@ -419,13 +420,6 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
             vecops::fused_poly_step(aj, bj, &self.inv_diag, r, kz, d, z);
         }
     }
-
-    /// The cached Jacobi-spectrum estimate: lets the s-step basis reuse
-    /// this preconditioner's Lanczos run instead of performing its own
-    /// (the poly-precond ↔ s-step-basis boundary of the caching story).
-    fn spectral_hint(&self) -> Option<SpectralInterval> {
-        Some(self.interval)
-    }
 }
 
 /// The Auto-resolved serial preconditioner: either the paper's m-step
@@ -486,13 +480,6 @@ impl<A: SparseOp> Preconditioner for AutoPreconditioner<A> {
         match self {
             AutoPreconditioner::MStepSsor(p) => p.apply_with(r, z, scratch),
             AutoPreconditioner::Poly(p) => p.apply_with(r, z, scratch),
-        }
-    }
-
-    fn spectral_hint(&self) -> Option<SpectralInterval> {
-        match self {
-            AutoPreconditioner::MStepSsor(p) => p.spectral_hint(),
-            AutoPreconditioner::Poly(p) => p.spectral_hint(),
         }
     }
 }

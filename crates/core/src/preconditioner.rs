@@ -6,7 +6,6 @@
 //! inner products at runtime and reports a typed error if they turn
 //! nonpositive, which is the observable symptom of an indefinite `M`.
 
-use mspcg_sparse::lanczos::SpectralInterval;
 use mspcg_sparse::SparseError;
 
 /// Application of `M⁻¹`: `z ← M⁻¹ r`.
@@ -43,21 +42,6 @@ pub trait Preconditioner {
     /// ignores the scratch.
     fn apply_with(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
         self.apply(r, z);
-    }
-
-    /// A spectral interval this preconditioner already paid a Lanczos run
-    /// for, if it has one. The s-step basis recurrence needs eigenvalue
-    /// bounds to parameterize its Chebyshev three-term recurrence; bound
-    /// accuracy affects only the *conditioning* of the basis (any
-    /// increasing-degree polynomial recurrence spans the same Krylov
-    /// space), so an estimate made for a related operator — the
-    /// [`crate::poly::PolynomialPreconditioner`]'s Jacobi-scaled spectrum
-    /// — is a usable hint. Returning it here lets the solver reuse that
-    /// one estimate across the poly-precond ↔ s-step-basis boundary
-    /// instead of re-running Lanczos. `None` (the default) means the
-    /// solver estimates — and caches — an interval itself.
-    fn spectral_hint(&self) -> Option<SpectralInterval> {
-        None
     }
 }
 

@@ -1,6 +1,6 @@
 //! Fault injection, residual auditing and the structured recovery ladder.
 //!
-//! The communication-avoiding variants (PRs 4–5) buy their barrier cuts by
+//! The communication-avoiding SPMD schedules buy their barrier cuts by
 //! *carrying* recurrence vectors that drift away from the true residual
 //! `f − Ku`; a silent data corruption (a flipped bit in an SpMV output, a
 //! NaN out of a preconditioner application) is the same failure mode in
@@ -22,13 +22,15 @@
 //!    residual replacement). Enabled by policy: explicitly, or
 //!    automatically for the drift-prone variants at tight tolerances
 //!    ([`TIGHT_TOL`]).
-//! 3. **Recovery ladder** — instead of the old single classic-fallback
-//!    shot, breakdown and detected corruption step down
-//!    SStep → Pipelined → Classic, each rung re-deriving its
-//!    carries from the current iterate (serial) or rerunning the schedule
-//!    (SPMD); non-finite reduction scalars surface as
-//!    [`SparseError::NonFinite`] only once the replacement budget is
-//!    exhausted.
+//! 3. **Recovery** — the serial solvers run the classic loop only, which
+//!    recovers in place: a non-finite reduction scalar restarts it from
+//!    the current iterate. The SPMD executor runs the pipelined and
+//!    s-step schedules as well, and there breakdown and detected
+//!    corruption step down the ladder SStep → Pipelined → Classic, each
+//!    rung rerunning the schedule. Either way a non-finite reduction
+//!    scalar surfaces as
+//!    [`SparseError::NonFinite`](mspcg_sparse::SparseError::NonFinite)
+//!    only once the replacement budget is exhausted.
 //!
 //! Everything is *measured*: audits, replacements, ladder steps and
 //! detected/injected faults are counted in `PcgStats` and
@@ -51,8 +53,8 @@ pub const TIGHT_TOL: f64 = 1e-11;
 /// bounding a pathological always-corrupting operator.
 pub const DEFAULT_MAX_REPLACEMENTS: usize = 32;
 
-/// Three-state switch following the `PcgVariant::Auto` convention: the
-/// explicit states win, `Auto` resolves by a heuristic.
+/// Three-state switch: the explicit states win, `Auto` resolves by a
+/// heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Toggle {
     /// Resolve at solve time: on only for drift-prone variants at tight
@@ -121,10 +123,10 @@ impl RecoveryPolicy {
         }
     }
 
-    /// Whether auditing is active for a solve of `variant` (already
-    /// resolved, never `Auto`) at tolerance `tol`. Explicit `On`/`Off`
-    /// win; `Auto` enables auditing only for the drift-prone recurrences
-    /// (pipelined and s-step) at tight tolerance.
+    /// Whether auditing is active for a solve of `variant` at tolerance
+    /// `tol`. Explicit `On`/`Off` win; `Auto` enables auditing only for
+    /// the drift-prone recurrences (pipelined and s-step) at tight
+    /// tolerance.
     pub fn audit_enabled(&self, variant: PcgVariant, tol: f64) -> bool {
         match self.replacement {
             Toggle::On => true,
@@ -146,7 +148,7 @@ pub fn replacement_bound(tol: f64, f_norm: f64) -> f64 {
     (10.0 * tol).max(1e3 * f64::EPSILON) * f_norm
 }
 
-/// Audit schedule predicate, shared by the serial loops and the SPMD
+/// Audit schedule predicate, shared by the serial loop and the SPMD
 /// workers: at the *top* of (1-based) iteration `iter`, audit the state
 /// left by iteration `iter − 1`. `start` is the warm-start point of the
 /// current rung — requiring `iter − 1 > start` guarantees every

@@ -5,7 +5,7 @@
 //! SSOR reduce to, per color, an off-diagonal block multiply followed by a
 //! pointwise diagonal solve — long vector operations / embarrassingly
 //! parallel loops. The per-color row loops here run on the `mspcg-sparse`
-//! worker pool (`par` feature) for large blocks: rows within one color
+//! worker pool for large blocks: rows within one color
 //! update independently (the multicolor guarantee), so the parallel sweep
 //! is bitwise identical to the serial one for any thread count.
 //!

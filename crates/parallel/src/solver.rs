@@ -134,9 +134,6 @@
 
 use crate::barrier::{SpinBarrier, SplitBarrier};
 use crate::shared::{slot, ScalarBank, SharedVec};
-use mspcg_core::pcg::{
-    small_cholesky_factor, small_cholesky_solve, SSTEP_SPECTRUM_SEED, SSTEP_SPECTRUM_STEPS,
-};
 use mspcg_core::poly::{raw_jacobi_spectrum, safeguard_jacobi_interval};
 use mspcg_core::recovery::{
     audit_due, diverged, perturb, replacement_bound, FaultKind, FaultPlan, FaultTarget,
@@ -157,9 +154,9 @@ pub struct ParallelSolverOptions {
     pub tol: f64,
     /// Iteration budget.
     pub max_iterations: usize,
-    /// Iteration variant. [`PcgVariant::Auto`] (the default) resolves to
-    /// the classic schedule; an out-of-range [`PcgVariant::SStep`] width
-    /// is rejected (see [`PcgVariant::resolve`]).
+    /// Iteration variant ([`PcgVariant::Classic`] by default); an
+    /// out-of-range [`PcgVariant::SStep`] width is rejected (see
+    /// [`PcgVariant::resolve`]).
     pub variant: PcgVariant,
     /// Residual-audit / replacement / recovery-ladder policy. Auditing is
     /// resolved **once** from the requested variant and tolerance, so a
@@ -175,7 +172,7 @@ impl Default for ParallelSolverOptions {
             threads: 0,
             tol: 1e-6,
             max_iterations: 50_000,
-            variant: PcgVariant::Auto,
+            variant: PcgVariant::Classic,
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -194,10 +191,9 @@ pub struct ParallelSolveReport {
     pub final_change: f64,
     /// Worker threads actually used.
     pub threads: usize,
-    /// The schedule that produced this result (never
-    /// [`PcgVariant::Auto`]; the lower rung after a ladder step-down —
-    /// pipelined after an s-step breakdown, classic after a pipelined
-    /// one).
+    /// The schedule that produced this result (the lower rung after a
+    /// ladder step-down — pipelined after an s-step breakdown, classic
+    /// after a pipelined one).
     pub variant: PcgVariant,
     /// Total [`SpinBarrier`] crossings of the run (init + all
     /// iterations), measured by the instrumented barrier: the
@@ -1282,10 +1278,12 @@ impl ParallelMStepPcg {
         }
     }
 
-    /// The SPMD body of the **s-step** (communication-avoiding) schedule:
-    /// the serial `sstep_loop` arithmetic on barrier-separated phases.
-    /// Per outer step (`s` iterations, sweep = `m·(2C−1)` SSOR barriers
-    /// or `k` polynomial barriers):
+    /// The SPMD body of the **s-step** (communication-avoiding) schedule
+    /// (Chronopoulos–Gear blocks conjugated against the previous block
+    /// only; in exact arithmetic each block reproduces `s` classic
+    /// iterations) on barrier-separated phases. Per outer step (`s`
+    /// iterations, sweep = `m·(2C−1)` SSOR barriers or `k` polynomial
+    /// barriers):
     ///
     /// ```text
     /// v₁ ← M⁻¹r                               sweep barriers
@@ -1314,12 +1312,11 @@ impl ParallelMStepPcg {
     /// worker off the replicated reduced scalars — unanimous branching,
     /// no broadcast. A rank-truncated factor (`cols < s`, the endgame
     /// where the Krylov grade runs out mid-block) takes only the leading
-    /// `cols` sub-steps and restarts the recurrence, exactly like the
-    /// serial rung; `cols == 0` and every non-finite scalar step down
-    /// the ladder via FALLBACK (reruns are from scratch, so no rollback
-    /// is needed — except on mid-block *convergence*, where the already
-    /// applied trailing sub-steps are undone own-strip so the reported
-    /// iterate is the accepted one).
+    /// `cols` sub-steps and restarts the recurrence; `cols == 0` and every
+    /// non-finite scalar step down the ladder via FALLBACK (reruns are
+    /// from scratch, so no rollback is needed — except on mid-block
+    /// *convergence*, where the already applied trailing sub-steps are
+    /// undone own-strip so the reported iterate is the accepted one).
     #[allow(clippy::too_many_arguments)]
     fn worker_sstep(
         &self,
@@ -2074,8 +2071,11 @@ impl ParallelMStepPcg {
                 return;
             }
             // Guards: γ′ = (r, z) is a product of two recurrence carries
-            // (not a fresh quadratic form), so every nonpositive scalar
-            // routes to the fallback rung — see the serial loop's docs.
+            // (not a fresh quadratic form), so a drifted carry cannot
+            // certify the sign of the true quadratic form: every
+            // nonpositive scalar routes to the fallback rung, whose fresh
+            // classic probes produce the canonical error if the system
+            // really is indefinite.
             if gamma_new <= 0.0 || ps <= 0.0 {
                 finish(status::FALLBACK, iter, change, phases, audits, faults);
                 return;
@@ -2477,20 +2477,25 @@ impl ParallelMStepPcg {
         }
     }
 
-    /// Eigenvalue bounds for the s-step Chebyshev basis recurrence —
-    /// the SPMD counterpart of the serial solver's interval cache,
-    /// sourced in the same priority order:
+    /// Eigenvalue bounds for the s-step Chebyshev basis recurrence,
+    /// sourced in priority order:
     ///
     /// 1. the polynomial configuration's construction-time interval
     ///    ([`ParPoly::interval`]) — the poly-precond ↔ s-step-basis half
     ///    of the one-estimate-per-operator cache, no second Lanczos run;
     /// 2. the instance-cached interval from an earlier s-step solve;
-    /// 3. a fresh estimate, cached for every later solve: Lanczos (same
-    ///    budget/seed/safeguard recipe as the serial rung) on the
-    ///    composite `x ↦ M⁻¹(K x)` — `M⁻¹` evaluated by the
+    /// 3. a fresh estimate, cached for every later solve: Lanczos
+    ///    ([`SSTEP_SPECTRUM_STEPS`] steps from [`SSTEP_SPECTRUM_SEED`],
+    ///    safeguarded like the polynomial preconditioner's estimate) on
+    ///    the composite `x ↦ M⁻¹(K x)` — `M⁻¹` evaluated by the
     ///    [`ParallelMStepPcg::serial_msolve`] replica so the probed
     ///    operator is bitwise the workers' — or on `K` itself for plain
-    ///    CG. Runs on the main thread before any worker spawns.
+    ///    CG. That map is self-adjoint in the `M` inner product, not the
+    ///    Euclidean one, so the Ritz values carry an orthogonality
+    ///    error; but bound accuracy affects only the *conditioning* of
+    ///    the basis, and a snug bracket on `M⁻¹K` keeps the Chebyshev
+    ///    basis near-orthogonal. Runs on the main thread before any
+    ///    worker spawns.
     ///
     /// # Errors
     /// Lanczos breakdown ([`SparseError`] pass-through); the caller
@@ -2519,6 +2524,84 @@ impl ParallelMStepPcg {
         // A racing second estimate computed the same value (the recipe
         // is deterministic), so first-write-wins is harmless.
         Ok(*self.sstep_interval.get_or_init(|| interval))
+    }
+}
+
+/// Lanczos budget and starting seed of the s-step basis estimate —
+/// mirrors the polynomial preconditioner's construction-time estimate so
+/// the two sources of the interval cache behave alike.
+const SSTEP_SPECTRUM_STEPS: usize = 60;
+const SSTEP_SPECTRUM_SEED: u64 = 0x5EED;
+
+/// In-place rank-revealing Cholesky factorization `W = L·Lᵀ` of a
+/// row-major `s×s` symmetric matrix; only the lower triangle is read,
+/// and it is overwritten with `L`. Returns the number of columns
+/// factored before a pivot collapsed — the factorization stops at the
+/// first pivot that is non-finite, nonpositive, or below roundoff
+/// relative to the largest original diagonal entry.
+///
+/// A return of `0` is the s-step Gram breakdown signal (an indefinite
+/// or numerically collapsed basis), which the caller handles by
+/// stepping down the recovery ladder. A return in `1..s` is the
+/// *endgame* signal: the residual's remaining Krylov grade is smaller
+/// than the block, so the trailing basis vectors are linearly dependent
+/// to machine precision and only the leading sub-steps carry
+/// information. Without the relative-pivot cutoff those trailing pivots
+/// pass `> 0.0` at roundoff level, the triangular solves amplify the
+/// noise, and the final block's "updates" destroy the superlinear
+/// terminal convergence classic CG gets for free.
+fn small_cholesky_factor(w: &mut [f64], s: usize) -> usize {
+    debug_assert!(w.len() >= s * s, "small_cholesky_factor: undersized");
+    let mut max_diag: f64 = 0.0;
+    for i in 0..s {
+        max_diag = max_diag.max(w[i * s + i]);
+    }
+    if !(max_diag.is_finite() && max_diag > 0.0) {
+        return 0;
+    }
+    // Pivots of an SPD Gram matrix decay with the basis conditioning;
+    // anything this far under the largest diagonal is pure roundoff.
+    let floor = max_diag * (s as f64) * f64::EPSILON;
+    for i in 0..s {
+        for j in 0..=i {
+            let mut sum = w[i * s + j];
+            for t in 0..j {
+                sum -= w[i * s + t] * w[j * s + t];
+            }
+            if i == j {
+                if !(sum.is_finite() && sum > floor) {
+                    return i;
+                }
+                w[i * s + i] = sum.sqrt();
+            } else {
+                w[i * s + j] = sum / w[j * s + j];
+            }
+        }
+    }
+    s
+}
+
+/// Solve the leading `cols×cols` system `L·Lᵀ·x = b` in place given a
+/// factor from [`small_cholesky_factor`] stored at row stride `s`
+/// (`b[..cols]` holds `x` on exit; `b[cols..]` is untouched).
+fn small_cholesky_solve(l: &[f64], s: usize, cols: usize, b: &mut [f64]) {
+    debug_assert!(
+        cols <= s && l.len() >= s * s && b.len() >= cols,
+        "small_cholesky_solve: undersized"
+    );
+    for i in 0..cols {
+        let mut x = b[i];
+        for t in 0..i {
+            x -= l[i * s + t] * b[t];
+        }
+        b[i] = x / l[i * s + i];
+    }
+    for i in (0..cols).rev() {
+        let mut x = b[i];
+        for t in i + 1..cols {
+            x -= l[t * s + i] * b[t];
+        }
+        b[i] = x / l[i * s + i];
     }
 }
 
@@ -3653,5 +3736,28 @@ mod tests {
                 "max_iterations = {max_iterations}"
             );
         }
+    }
+
+    #[test]
+    fn small_cholesky_solves_spd_and_truncates_at_the_numerical_rank() {
+        // Full rank: the factor solves the system.
+        let a = [4.0, 2.0, 0.5, 2.0, 5.0, 1.0, 0.5, 1.0, 3.0];
+        let mut l = a;
+        assert_eq!(small_cholesky_factor(&mut l, 3), 3);
+        let x = [1.0, -2.0, 0.5];
+        let mut b: Vec<f64> = (0..3)
+            .map(|i| (0..3).map(|j| a[i * 3 + j] * x[j]).sum())
+            .collect();
+        small_cholesky_solve(&l, 3, 3, &mut b);
+        for (u, v) in b.iter().zip(&x) {
+            assert!((u - v).abs() < 1e-12, "{u} vs {v}");
+        }
+        // Gram matrix of v₁, v₂ and v₃ = v₁ + v₂: the third pivot is pure
+        // roundoff, so the factorization stops at the numerical rank.
+        let mut g = [2.0, 1.0, 3.0, 1.0, 2.0, 3.0, 3.0, 3.0, 6.0];
+        assert_eq!(small_cholesky_factor(&mut g, 3), 2);
+        // No positive diagonal: breakdown.
+        let mut z = [0.0; 4];
+        assert_eq!(small_cholesky_factor(&mut z, 2), 0);
     }
 }

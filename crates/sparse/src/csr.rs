@@ -222,7 +222,7 @@ impl CsrMatrix {
     /// hot kernel of every CG iteration).
     ///
     /// Large matrices run row-parallel on the `mspcg-sparse` worker pool
-    /// (`par` feature) over **nnz-weighted** chunks (see
+    /// over **nnz-weighted** chunks (see
     /// [`par::spmv_layout`]): chunk boundaries follow the `row_ptr` prefix
     /// sum, so a run of dense-ish rows is split across chunks instead of
     /// serializing the pool. Rows are independent and chunk boundaries

@@ -38,9 +38,8 @@
 //!
 //! The hot kernels — CSR SpMV ([`csr::CsrMatrix::mul_vec_into`] /
 //! [`csr::CsrMatrix::mul_vec_axpy`]) and the BLAS-1 reductions in
-//! [`vecops`] — are **data parallel** behind the `par` feature (on by
-//! default). They run on the persistent `std::thread` worker pool in
-//! [`par`]; no external runtime is required.
+//! [`vecops`] — are **data parallel**. They run on the persistent
+//! `std::thread` worker pool in [`par`]; no external runtime is required.
 //!
 //! *Determinism contract.* Every kernel splits its index space into chunks
 //! whose boundaries depend only on the problem size, and every reduction
@@ -71,8 +70,8 @@
 //! accumulates each row in ascending column order, products — and whole
 //! solver runs — are **bitwise identical** across formats.
 //!
-//! Build without the feature (`--no-default-features`) for a strictly
-//! serial library with identical numerical results. Measure the speedups
+//! `MSPCG_THREADS=1` runs every kernel serially with identical numerical
+//! results. Measure the speedups
 //! with `cargo bench -p mspcg-bench --bench spmv` (serial vs parallel
 //! groups on a 512×512 red/black Poisson problem, plus CSR vs SELL-C-σ on
 //! the wide-row arrow family).

@@ -13,10 +13,12 @@
 //!
 //! plugs into `pcg_solve_into`, `pcg_solve_multi`, the SPMD
 //! `ParallelMStepPcg` and the preconditioner constructors without touching
-//! any of them. [`crate::csr::CsrMatrix`], [`crate::dia::DiaMatrix`],
-//! [`crate::dense::DenseMatrix`] and [`crate::sellcs::SellCsMatrix`]
-//! implement it; future formats (blocked CSR, NUMA-partitioned) drop in
-//! the same way.
+//! any of them. [`crate::csr::CsrMatrix`], [`crate::dense::DenseMatrix`]
+//! and [`crate::sellcs::SellCsMatrix`] implement it; future formats
+//! (blocked CSR, NUMA-partitioned) drop in the same way. The diagonal
+//! storage [`crate::dia::DiaMatrix`] deliberately does not: it serves the
+//! CYBER simulator's diagonal-wise product and is 2–3× slower than CSR
+//! as a solver operator.
 //!
 //! ## Determinism contract
 //!
@@ -34,7 +36,7 @@
 //! drivers reuse the nnz-weighted chunk machinery of [`crate::par`]: the
 //! layout comes from [`par::spmv_layout`]`(self.nnz())` and
 //! [`SparseOp::chunk_rows`] maps chunk indices to row ranges. The default
-//! `chunk_rows` assumes uniform work per row (exact for DIA and dense);
+//! `chunk_rows` assumes uniform work per row (exact for dense storage);
 //! formats with a row-length prefix sum (CSR) or slice table (SELL-C-σ)
 //! override it — or override the whole driver — so dense-ish row runs
 //! cannot serialize the pool.
@@ -56,7 +58,7 @@ pub trait SparseOp: Sync {
 
     /// Stored scalars — the work measure the adaptive thresholds and the
     /// nnz-weighted schedules consume. Formats with structural padding
-    /// (DIA) count the padded storage they actually stream.
+    /// (dense) count the padded storage they actually stream.
     fn nnz(&self) -> usize;
 
     /// `(rows, cols)`.
@@ -86,7 +88,7 @@ pub trait SparseOp: Sync {
     /// format-generic consumers that need entries rather than products —
     /// splitting construction, diagonal extraction, format conversion —
     /// not a hot-loop API. Formats whose storage cannot distinguish a
-    /// stored zero from padding (DIA) skip zero values.
+    /// stored zero from padding (dense) skip zero values.
     fn visit_row(&self, i: usize, visit: &mut dyn FnMut(usize, f64));
 
     /// Row range owned by chunk `c` of the nnz-weighted parallel schedule,
@@ -303,83 +305,6 @@ impl SparseOp for CsrMatrix {
     }
 }
 
-impl SparseOp for crate::dia::DiaMatrix {
-    fn rows(&self) -> usize {
-        crate::dia::DiaMatrix::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        crate::dia::DiaMatrix::cols(self)
-    }
-
-    /// Padded storage (`diagonals × rows`): the scalars a diagonal-wise
-    /// pass actually streams.
-    fn nnz(&self) -> usize {
-        self.num_diagonals() * crate::dia::DiaMatrix::rows(self)
-    }
-
-    /// Row-wise gather across the stored diagonals in ascending offset
-    /// (= ascending column) order. Note the *inherent*
-    /// [`crate::dia::DiaMatrix::mul_vec_into`] runs diagonal-wise — the
-    /// CYBER §3.1 order, one long multiply-add per diagonal — and sums
-    /// each row in a different order; the trait path deliberately uses the
-    /// row-wise order so it is exchangeable with the other formats.
-    fn mul_vec_range_into(&self, x: &[f64], y: &mut [f64], rows: Range<usize>) {
-        assert_eq!(x.len(), self.cols(), "dia range mul: x length mismatch");
-        assert!(
-            rows.end <= crate::dia::DiaMatrix::rows(self),
-            "dia range mul: rows out of bounds"
-        );
-        assert_eq!(y.len(), rows.len(), "dia range mul: y length mismatch");
-        let cols = self.cols() as isize;
-        for (k, i) in rows.enumerate() {
-            let mut acc = 0.0;
-            for (s, &d) in self.offsets().iter().enumerate() {
-                let j = i as isize + d;
-                if j >= 0 && j < cols {
-                    acc += self.diagonal(s)[i] * x[j as usize];
-                }
-            }
-            y[k] = acc;
-        }
-    }
-
-    fn mul_vec_axpy_range(&self, a: f64, x: &[f64], y: &mut [f64], rows: Range<usize>) {
-        assert_eq!(x.len(), self.cols(), "dia range axpy: x length mismatch");
-        assert!(
-            rows.end <= crate::dia::DiaMatrix::rows(self),
-            "dia range axpy: rows out of bounds"
-        );
-        assert_eq!(y.len(), rows.len(), "dia range axpy: y length mismatch");
-        let cols = self.cols() as isize;
-        for (k, i) in rows.enumerate() {
-            let mut acc = 0.0;
-            for (s, &d) in self.offsets().iter().enumerate() {
-                let j = i as isize + d;
-                if j >= 0 && j < cols {
-                    acc += self.diagonal(s)[i] * x[j as usize];
-                }
-            }
-            y[k] += a * acc;
-        }
-    }
-
-    /// Skips zero values: dense diagonal storage cannot distinguish a
-    /// stored zero from structural padding.
-    fn visit_row(&self, i: usize, visit: &mut dyn FnMut(usize, f64)) {
-        let cols = self.cols() as isize;
-        for (s, &d) in self.offsets().iter().enumerate() {
-            let j = i as isize + d;
-            if j >= 0 && j < cols {
-                let v = self.diagonal(s)[i];
-                if v != 0.0 {
-                    visit(j as usize, v);
-                }
-            }
-        }
-    }
-}
-
 impl SparseOp for crate::dense::DenseMatrix {
     fn rows(&self) -> usize {
         crate::dense::DenseMatrix::rows(self)
@@ -556,7 +481,6 @@ impl SparseOp for AutoOp {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
-    use crate::dia::DiaMatrix;
 
     fn sample() -> CsrMatrix {
         let mut a = CooMatrix::new(4, 4);
@@ -585,18 +509,16 @@ mod tests {
     }
 
     #[test]
-    fn dia_and_dense_agree_with_csr_through_the_trait() {
+    fn dense_agrees_with_csr_through_the_trait() {
         let a = sample();
-        let dia = DiaMatrix::from_csr(&a);
         let dense = a.to_dense();
         let x = [0.25, -1.0, 2.0, 0.125];
         let want = CsrMatrix::mul_vec(&a, &x);
         // Power-of-two data: the row-wise gathers agree exactly.
-        assert_eq!(generic_spmv(&dia, &x), want);
         assert_eq!(generic_spmv(&dense, &x), want);
         let mut acc1 = vec![1.0; 4];
         let mut acc2 = vec![1.0; 4];
-        SparseOp::mul_vec_axpy(&dia, -2.0, &x, &mut acc1);
+        SparseOp::mul_vec_axpy(&a, -2.0, &x, &mut acc1);
         SparseOp::mul_vec_axpy(&dense, -2.0, &x, &mut acc2);
         assert_eq!(acc1, acc2);
     }
@@ -617,11 +539,9 @@ mod tests {
     #[test]
     fn diag_into_and_csr_copy_round_trip() {
         let a = sample();
-        let dia = DiaMatrix::from_csr(&a);
         let mut d = vec![0.0; 4];
-        SparseOp::diag_into(&dia, &mut d);
+        SparseOp::diag_into(&a, &mut d);
         assert_eq!(d, vec![4.0; 4]);
-        assert_eq!(SparseOp::csr_copy(&dia), a);
         assert_eq!(SparseOp::csr_copy(&a), a);
         assert_eq!(SparseOp::csr_copy(&a.to_dense()), a);
     }

@@ -19,12 +19,6 @@
 //! * an **adaptive serial fallback**: kernels below a work threshold (or
 //!   when one thread is configured) run inline with zero synchronization.
 //!
-//! ## Feature gating
-//!
-//! With the `par` feature disabled the pool is compiled out entirely and
-//! every entry point degenerates to the serial path; results are unchanged
-//! because the chunked reduction layout is shared by both paths.
-//!
 //! ## Thread count
 //!
 //! The pool holds a fixed set of workers sized at first use. The *effective*
@@ -230,9 +224,8 @@ pub fn for_each_chunk(nchunks: usize, threads: usize, body: &(dyn Fn(usize) + Sy
 
 pub use imp::{max_threads, pool_capacity, serialized, set_max_threads};
 
-#[cfg(feature = "par")]
 mod imp {
-    //! The persistent worker pool (compiled only with the `par` feature).
+    //! The persistent worker pool.
 
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -485,35 +478,6 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "par"))]
-mod imp {
-    //! Serial stand-ins when the `par` feature is disabled.
-
-    pub(super) fn run_chunked(nchunks: usize, _threads: usize, body: &(dyn Fn(usize) + Sync)) {
-        for c in 0..nchunks {
-            body(c);
-        }
-    }
-
-    /// Always 1 without the `par` feature.
-    pub fn pool_capacity() -> usize {
-        1
-    }
-
-    /// Always 1 without the `par` feature.
-    pub fn max_threads() -> usize {
-        1
-    }
-
-    /// No-op without the `par` feature.
-    pub fn set_max_threads(_n: usize) {}
-
-    /// Without the `par` feature every kernel is already serial.
-    pub fn serialized<R>(f: impl FnOnce() -> R) -> R {
-        f()
-    }
-}
-
 /// Serializes tests that sweep the global thread budget, so concurrent
 /// test threads cannot interleave `set_max_threads` calls with assertions
 /// on `max_threads()` itself.
@@ -667,7 +631,6 @@ mod tests {
         assert_eq!(t, max_threads());
     }
 
-    #[cfg(feature = "par")]
     #[test]
     fn set_max_threads_round_trips() {
         let _guard = thread_sweep_lock();
@@ -679,7 +642,6 @@ mod tests {
         set_max_threads(before.max(1));
     }
 
-    #[cfg(feature = "par")]
     #[test]
     fn nested_launch_runs_inline() {
         // A kernel body that itself launches a kernel must not deadlock.

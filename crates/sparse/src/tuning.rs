@@ -58,17 +58,18 @@ pub enum MatrixFormat {
     SellCs,
 }
 
-/// PCG iteration variants the solver stack implements. Lives here (rather
-/// than in `mspcg-core`) so the serial solvers, the batched multi-RHS
-/// driver and the SPMD `ParallelMStepPcg` all share one selection type.
+/// PCG iteration variants of the SPMD `ParallelMStepPcg`. Lives here
+/// (rather than in `mspcg-parallel`) so the serial solvers and the batched
+/// multi-RHS driver accept the same selection type; they validate it and
+/// run [`PcgVariant::Classic`] for every variant, because the
+/// synchronization points the other two remove exist only on the SPMD
+/// executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PcgVariant {
-    /// Resolve at solve time to [`PcgVariant::Classic`].
-    #[default]
-    Auto,
     /// Algorithm 1 as transcribed from the paper: two serialized inner
     /// products per iteration (`(p, Kp)`, then `(r̂, r)` after the
     /// preconditioner).
+    #[default]
     Classic,
     /// Ghysels–Vanroose pipelined recurrence: carry `s = Kp`, `w = Kz`,
     /// `q = M⁻¹s` and `K·q`, and recompute `mv = M⁻¹w` and `nv = K·mv`,
@@ -97,9 +98,7 @@ pub enum PcgVariant {
 pub const MAX_SSTEP_S: usize = 16;
 
 impl PcgVariant {
-    /// Resolve [`PcgVariant::Auto`] to [`PcgVariant::Classic`] and validate
-    /// a pinned variant, which otherwise passes through unchanged. The
-    /// result is never `Auto`.
+    /// Validate the variant, which otherwise passes through unchanged.
     ///
     /// # Errors
     /// [`SparseError::InvalidPartition`] for an [`PcgVariant::SStep`] block
@@ -109,13 +108,12 @@ impl PcgVariant {
     /// a misconfiguration.
     pub fn resolve(self) -> Result<PcgVariant, SparseError> {
         match self {
-            PcgVariant::Auto => Ok(PcgVariant::Classic),
             PcgVariant::SStep { s } if !(2..=MAX_SSTEP_S).contains(&s) => {
                 Err(SparseError::InvalidPartition {
                     reason: format!("s-step block width must be in 2..={MAX_SSTEP_S}, got {s}"),
                 })
             }
-            pinned => Ok(pinned),
+            valid => Ok(valid),
         }
     }
 }
@@ -235,7 +233,7 @@ mod tests {
 
     #[test]
     fn variant_resolution_never_returns_auto() {
-        assert_eq!(PcgVariant::Auto.resolve(), Ok(PcgVariant::Classic));
+        assert_eq!(PcgVariant::default(), PcgVariant::Classic);
         for v in [
             PcgVariant::Classic,
             PcgVariant::Pipelined,

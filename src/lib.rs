@@ -33,8 +33,7 @@
 //! ## Performance
 //!
 //! The solver stack runs on a shared **data-parallel kernel layer** in
-//! `mspcg-sparse` (the `par` feature, on by default): CSR SpMV and the
-//! BLAS-1 reductions are row/chunk parallel, and the per-color row loops
+//! `mspcg-sparse`: CSR SpMV and the BLAS-1 reductions are row/chunk parallel, and the per-color row loops
 //! of the multicolor SSOR sweeps — the loops the paper identifies as
 //! embarrassingly parallel — run on a persistent `std::thread` worker
 //! pool. The contracts:
@@ -57,9 +56,12 @@
 //!   iteration (C colors, m steps), down from `m·(2C−1) + 9`.
 //! * **Communication-avoiding variants** — classic PCG serializes two
 //!   inner products per iteration: `(p, Kp)` before α, `(r̂, r)` before
-//!   β. `PcgVariant::Pipelined` and `PcgVariant::SStep { s }` (below)
-//!   reorganize the recurrence so fewer reduction phases block the
-//!   iteration. Per-iteration cost model:
+//!   β. On the SPMD executor `PcgVariant::Pipelined` and
+//!   `PcgVariant::SStep { s }` (below) reorganize the recurrence so fewer
+//!   reduction phases block the iteration. Those synchronization points
+//!   exist only there: the serial solvers and the multi-RHS driver run
+//!   the classic loop for every variant and return its solution bitwise.
+//!   Per-iteration SPMD cost model:
 //!
 //!   | schedule | reduction phases | SPMD barriers | reduction overlap window |
 //!   |---|---|---|---|
@@ -73,29 +75,26 @@
 //!   | s-step, plain CG | **1 per `s` iterations** | **`s + 1`** per block (`v₁ ≡ r`) | — |
 //!   | s-step, polynomial | **1 per `s` iterations** | **`s·(k + 2)`** per block | — |
 //!
-//!   Both counts are *measured*, not asserted: `PcgStats` carries
-//!   `reduction_phases` (and `fallbacks`), the SPMD report carries
+//!   Both counts are *measured*, not asserted: the SPMD report carries
 //!   `barrier_crossings` / `reduction_phases` / `split_crossings` from
-//!   instrumented barriers, and `BENCH_pr5.json` records them per
-//!   variant on the Table-3 family. The recurrences have
-//!   different-but-bounded rounding paths, so the contract is bitwise
-//!   determinism across thread counts *within* each variant and
+//!   instrumented barriers (`PcgStats::reduction_phases` counts the
+//!   serial classic loop's two per iteration), and `BENCH_pr5.json`
+//!   records them per variant on the Table-3 family. The recurrences
+//!   have different-but-bounded rounding paths, so the contract is
+//!   bitwise determinism across thread counts *within* each variant and
 //!   cross-variant agreement to a residual tolerance
-//!   (`tests/pcg_variants.rs`, `tests/variant_conformance.rs`); on
-//!   recurrence breakdown every entry point steps down the ladder
-//!   (SStep → Pipelined → Classic) — serial solves continue from the
-//!   current iterate, the SPMD solver reruns the solve.
-//!   Selection: `PcgOptions::variant` / `ParallelSolverOptions::variant`
-//!   (`Auto` resolves to classic; an s-step width outside `2..=16` is a
-//!   typed error). `tests/variant_conformance.rs` and
-//!   `tests/edge_cases.rs` run every variant explicitly.
+//!   (`tests/variant_conformance.rs`); on recurrence breakdown the SPMD
+//!   solver steps down the ladder (SStep → Pipelined → Classic) and
+//!   reruns the solve. Selection: `ParallelSolverOptions::variant`
+//!   (classic by default; an s-step width outside `2..=16` is a typed
+//!   error, on the serial `PcgOptions::variant` too).
 //! * **Pipelined (Ghysels–Vanroose) variant** — `PcgVariant::Pipelined`
 //!   carries `s = Kp`, `w = Kz`, `q = M⁻¹s` and `K·q`, recomputes
 //!   `mv = M⁻¹w` / `nv = K·mv` each iteration, and reconstructs
 //!   `α = γ′/(δ − β·γ′/α)`, so both scalars come out of **one** fused
-//!   reduction phase (`vecops::fused_dot3_norm`: `(r, z)`, `(w, z)`, the
-//!   `(p, s)` breakdown guard and the stopping norm, in one sweep) that
-//!   reads only vectors finished in the update phase: the SPMD executor
+//!   reduction phase (`(r, z)`, `(w, z)`, the `(p, s)` breakdown guard
+//!   and the stopping norm, as partials of the update phase) that reads
+//!   only vectors finished in the update phase: the SPMD executor
 //!   **initiates** it there (`SplitBarrier::arrive`, a split-phase
 //!   primitive in `mspcg-parallel`) and **consumes** it (`wait`) only
 //!   after the preconditioner + SpMV — the reduction latency hides
@@ -123,9 +122,8 @@
 //!   replicated by a small dense Cholesky (with a rank-revealing pivot
 //!   floor: an endgame-degenerate block truncates to its numerical rank
 //!   and restarts the recurrence instead of dividing by noise). The
-//!   serial solver, the multi-RHS driver and the SPMD executor share the
-//!   code path; the SPMD block runs on `s·m(2C−1) + 2s` barriers (table
-//!   above) with **zero** split crossings and no init phase. Breakdown
+//!   block runs on `s·m(2C−1) + 2s` barriers (table above) with **zero**
+//!   split crossings and no init phase. Breakdown
 //!   steps down warm onto the pipelined rung. The exact block schedule
 //!   is pinned by counter tests at `s ∈ {2, 4}` × 1/4 threads × CSR /
 //!   SELL-C-σ, bitwise-deterministic across runs and formats;
@@ -174,9 +172,8 @@
 //!   sweeps chunk the same way (`par::spmv_chunk_rows_range` within each
 //!   color block). All thresholds are compile-time constants in
 //!   `mspcg::sparse::tuning`.
-//! * **Adaptive fallback** — small kernels run serially; a
-//!   `--no-default-features` build is strictly serial with identical
-//!   results.
+//! * **Adaptive fallback** — small kernels run serially with identical
+//!   results; `MSPCG_THREADS=1` runs every kernel serially.
 //! * **Zero-allocation hot loop** — `pcg_solve_into` with a reusable
 //!   `PcgWorkspace` performs no heap allocation per solve (verified by a
 //!   counting-allocator test over the ω sweep); `MulticolorSsor` shares
@@ -209,36 +206,39 @@
 //!   phases** — and a clean audited solve stays *bitwise identical* to
 //!   the unaudited run (an audit that finds no drift only observes).
 //!   Policy: `RecoveryPolicy` on `PcgOptions` / `ParallelSolverOptions`
-//!   (`Auto` enables auditing for the drift-prone pipelined and s-step
-//!   recurrences at tolerances ≤ 1e-11; `audit_period: 0`
+//!   (`Auto` enables auditing for the drift-prone SPMD pipelined and
+//!   s-step recurrences at tolerances ≤ 1e-11; `audit_period: 0`
 //!   means every 32 iterations). `tests/variant_conformance.rs` runs
-//!   every variant with `RecoveryPolicy::on()` as well as `off()`.
-//! * **Recovery ladder** — a non-finite reduction scalar (or an audit
-//!   divergence in a recurrence schedule) walks SStep → Pipelined →
-//!   Classic: the recurrence rungs are *detectors*
-//!   (they hand the current iterate down one rung, counted as a
-//!   `recovery`/`fallback`), the classic rung *self-heals in place*
-//!   (recompute `f − K·u`, re-derive the direction, counted as a
-//!   `replacement`, budget `max_replacements`); an exhausted budget
-//!   surfaces `SparseError::NonFinite { phase, iteration }` instead of
-//!   silent garbage. All of it lands in `PcgStats` /
-//!   `ParallelSolveReport` (`audits`, `replacements`, `recoveries`,
-//!   `faults_detected`), and per-RHS in `multi::SolveStatus::{Recovered,
-//!   Replaced}`.
+//!   the serial classic solver and every SPMD variant with
+//!   `RecoveryPolicy::on()` as well as `off()`.
+//! * **Recovery** — the classic loop *self-heals in place* from a
+//!   non-finite reduction scalar (recompute `f − K·u`, re-derive the
+//!   direction, counted as a `replacement`, budget `max_replacements`).
+//!   On the SPMD executor a non-finite scalar (or an audit divergence in
+//!   a recurrence schedule) walks SStep → Pipelined → Classic: the
+//!   recurrence rungs are *detectors* (they rerun the solve one rung
+//!   down, counted as a `recovery`) and the classic rung heals in place.
+//!   An exhausted budget surfaces
+//!   `SparseError::NonFinite { phase, iteration }` instead of silent
+//!   garbage. All of it lands in `PcgStats` / `ParallelSolveReport`
+//!   (`audits`, `replacements`, `recoveries`, `faults_detected`), and
+//!   per-RHS in `multi::SolveStatus::Replaced`.
 //! * **Fault injection, first-class** — `FaultyOp` /
 //!   `FaultyPreconditioner` wrap any operator/preconditioner with
 //!   application-indexed faults (bit-flips, NaN/Inf, scaled noise) for
 //!   the serial stack; `ParallelMStepPcg::solve_with_faults` takes an
 //!   iteration-indexed `FaultPlan` injected deterministically at every
 //!   thread count. The two models differ on purpose: a wrapper fault is
-//!   consumed once (lower rungs run clean), a plan fault is *persistent*
+//!   consumed once (the classic restart runs clean), a plan fault is
+//!   *persistent*
 //!   (it re-fires on every ladder rung, so the full walk is exercised —
 //!   a pipelined start under a NaN preconditioner fault proves exactly 2
 //!   detections, 1 step-down, 1 classic in-place replacement; an s-step
 //!   start proves the full 3-rung walk: 3 detections, 2 step-downs, 1
 //!   replacement).
-//!   `tests/fault_injection.rs` runs every variant × executor × family
-//!   under both fault classes with bitwise replay and exact counters.
+//!   `tests/fault_injection.rs` runs the serial classic solver and every
+//!   SPMD variant × family under both fault classes with bitwise replay
+//!   and exact counters.
 //!
 //! Measure with
 //! `cargo bench -p mspcg-bench --bench spmv -- --json BENCH_pr3.json`

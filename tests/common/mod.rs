@@ -11,10 +11,11 @@
 
 use mspcg::sparse::PcgVariant;
 
-/// Every pinned variant the harnesses cover. The s-step schedule is
-/// exercised at two block sizes — block granularity (convergence is only
-/// checked every `s` iterations) is why iteration counts are compared
-/// with a slack, not an equality.
+/// Every variant the SPMD harnesses cover (the serial solvers run the
+/// classic loop for all of them). The s-step schedule is exercised at two
+/// block sizes — block granularity (convergence is only checked every `s`
+/// iterations) is why iteration counts are compared with a slack, not an
+/// equality.
 pub const ALL_VARIANTS: [PcgVariant; 4] = [
     PcgVariant::Classic,
     PcgVariant::Pipelined,
@@ -24,13 +25,10 @@ pub const ALL_VARIANTS: [PcgVariant; 4] = [
 
 /// Compile-time exhaustiveness guard: a new `PcgVariant` entry makes this
 /// `match` non-exhaustive, failing the build until the variant is added
-/// to [`ALL_VARIANTS`] (Auto resolves to classic, it is not a schedule).
+/// to [`ALL_VARIANTS`].
 fn exhaustiveness_guard(v: PcgVariant) {
     match v {
-        PcgVariant::Auto
-        | PcgVariant::Classic
-        | PcgVariant::Pipelined
-        | PcgVariant::SStep { .. } => {}
+        PcgVariant::Classic | PcgVariant::Pipelined | PcgVariant::SStep { .. } => {}
     }
 }
 

@@ -1,8 +1,8 @@
 //! Edge cases of the (batched) PCG entry points: empty systems, `1×1`
 //! systems, zero right-hand sides, a zero iteration budget, the
 //! honest-residual contract of the `max_iterations` exit path, and the
-//! rejection of out-of-range s-step block widths. Every case runs under
-//! every pinned variant.
+//! rejection of out-of-range s-step block widths. The serial solvers run
+//! the classic loop for every variant, so the serial cases run classic.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
@@ -14,9 +14,6 @@ use mspcg::core::preconditioner::IdentityPreconditioner;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
 use mspcg::sparse::tuning::MAX_SSTEP_S;
 use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PcgVariant, SparseError};
-
-mod common;
-use common::ALL_VARIANTS;
 
 fn laplacian(n: usize) -> CsrMatrix {
     let mut a = CooMatrix::new(n, n);
@@ -39,47 +36,39 @@ fn rb_laplacian(n: usize) -> (CsrMatrix, Partition) {
 #[test]
 fn empty_system_converges_immediately() {
     let a = CsrMatrix::identity(0);
-    for variant in ALL_VARIANTS {
-        let mut ws = PcgWorkspace::new(0);
-        let mut u: Vec<f64> = vec![];
-        let rep = pcg_solve_into(
-            &a,
-            &[],
-            &mut u,
-            &IdentityPreconditioner::new(0),
-            &PcgOptions {
-                variant,
-                ..Default::default()
-            },
-            &mut ws,
-        )
-        .unwrap();
-        assert!(rep.converged, "{variant:?}");
-        assert_eq!(rep.iterations, 0, "{variant:?}");
-        assert_eq!(rep.final_relative_residual, 0.0, "{variant:?}");
-    }
+    let mut ws = PcgWorkspace::new(0);
+    let mut u: Vec<f64> = vec![];
+    let rep = pcg_solve_into(
+        &a,
+        &[],
+        &mut u,
+        &IdentityPreconditioner::new(0),
+        &PcgOptions::default(),
+        &mut ws,
+    )
+    .unwrap();
+    assert!(rep.converged);
+    assert_eq!(rep.iterations, 0);
+    assert_eq!(rep.final_relative_residual, 0.0);
 }
 
 #[test]
 fn one_by_one_system_solves_exactly() {
     let a = CsrMatrix::from_diag(&[4.0]);
-    for variant in ALL_VARIANTS {
-        let sol = pcg_solve(
-            &a,
-            &[8.0],
-            &IdentityPreconditioner::new(1),
-            &PcgOptions {
-                tol: 1e-14,
-                criterion: StoppingCriterion::RelativeResidual,
-                variant,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(sol.converged, "{variant:?}");
-        assert_eq!(sol.x, vec![2.0], "{variant:?}");
-        assert_eq!(sol.iterations, 1, "{variant:?}");
-    }
+    let sol = pcg_solve(
+        &a,
+        &[8.0],
+        &IdentityPreconditioner::new(1),
+        &PcgOptions {
+            tol: 1e-14,
+            criterion: StoppingCriterion::RelativeResidual,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(sol.converged);
+    assert_eq!(sol.x, vec![2.0]);
+    assert_eq!(sol.iterations, 1);
 }
 
 #[test]
@@ -87,73 +76,62 @@ fn zero_rhs_zeroes_a_stale_output_buffer() {
     // The b = 0 early return must write the (exact) zero solution, not
     // hand the caller back whatever the buffer held.
     let a = laplacian(8);
-    for variant in ALL_VARIANTS {
-        let mut ws = PcgWorkspace::new(8);
-        let mut u = vec![7.5; 8]; // poisoned warm start
-        let rep = pcg_solve_into(
-            &a,
-            &[0.0; 8],
-            &mut u,
-            &IdentityPreconditioner::new(8),
-            &PcgOptions {
-                variant,
-                ..Default::default()
-            },
-            &mut ws,
-        )
-        .unwrap();
-        assert!(rep.converged, "{variant:?}");
-        assert_eq!(rep.iterations, 0, "{variant:?}");
-        assert_eq!(u, vec![0.0; 8], "{variant:?}");
-    }
+    let mut ws = PcgWorkspace::new(8);
+    let mut u = vec![7.5; 8]; // poisoned warm start
+    let rep = pcg_solve_into(
+        &a,
+        &[0.0; 8],
+        &mut u,
+        &IdentityPreconditioner::new(8),
+        &PcgOptions::default(),
+        &mut ws,
+    )
+    .unwrap();
+    assert!(rep.converged);
+    assert_eq!(rep.iterations, 0);
+    assert_eq!(u, vec![0.0; 8]);
 }
 
 #[test]
 fn zero_iteration_budget_reports_honest_residual() {
     let a = laplacian(12);
     let b = vec![1.0; 12];
-    for variant in ALL_VARIANTS {
-        let mut ws = PcgWorkspace::new(12);
-        let mut u = vec![0.0; 12];
-        let opts = PcgOptions {
-            max_iterations: 0,
-            tol: 1e-12,
-            variant,
-            ..Default::default()
-        };
-        let rep = pcg_try_solve_into(
-            &a,
-            &b,
-            &mut u,
-            &IdentityPreconditioner::new(12),
-            &opts,
-            &mut ws,
-        )
-        .unwrap();
-        assert!(!rep.converged, "{variant:?}");
-        assert_eq!(rep.iterations, 0, "{variant:?}");
-        // Nothing happened: u is still the initial guess, the true
-        // relative residual is ‖b − K·0‖/‖b‖ = 1.
-        assert_eq!(u, vec![0.0; 12], "{variant:?}");
-        assert!(
-            (rep.final_relative_residual - 1.0).abs() < 1e-15,
-            "{variant:?}"
-        );
-        // The erroring wrapper reports the same number.
-        match pcg_solve_into(
-            &a,
-            &b,
-            &mut u,
-            &IdentityPreconditioner::new(12),
-            &opts,
-            &mut ws,
-        ) {
-            Err(SparseError::DidNotConverge {
-                iterations: 0,
-                residual,
-            }) => assert!((residual - 1.0).abs() < 1e-15, "{variant:?}"),
-            other => panic!("{variant:?}: expected DidNotConverge, got {other:?}"),
-        }
+    let mut ws = PcgWorkspace::new(12);
+    let mut u = vec![0.0; 12];
+    let opts = PcgOptions {
+        max_iterations: 0,
+        tol: 1e-12,
+        ..Default::default()
+    };
+    let rep = pcg_try_solve_into(
+        &a,
+        &b,
+        &mut u,
+        &IdentityPreconditioner::new(12),
+        &opts,
+        &mut ws,
+    )
+    .unwrap();
+    assert!(!rep.converged);
+    assert_eq!(rep.iterations, 0);
+    // Nothing happened: u is still the initial guess, the true
+    // relative residual is ‖b − K·0‖/‖b‖ = 1.
+    assert_eq!(u, vec![0.0; 12]);
+    assert!((rep.final_relative_residual - 1.0).abs() < 1e-15);
+    // The erroring wrapper reports the same number.
+    match pcg_solve_into(
+        &a,
+        &b,
+        &mut u,
+        &IdentityPreconditioner::new(12),
+        &opts,
+        &mut ws,
+    ) {
+        Err(SparseError::DidNotConverge {
+            iterations: 0,
+            residual,
+        }) => assert!((residual - 1.0).abs() < 1e-15),
+        other => panic!("expected DidNotConverge, got {other:?}"),
     }
 }
 
@@ -164,36 +142,26 @@ fn budget_exit_residual_matches_a_fresh_recomputation() {
     let (a, p) = rb_laplacian(64);
     let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 1).unwrap();
     let b: Vec<f64> = (0..64).map(|i| ((i * 7 + 2) % 19) as f64 - 9.0).collect();
-    for variant in ALL_VARIANTS {
-        let mut ws = PcgWorkspace::new(64);
-        let mut u = vec![0.0; 64];
-        let opts = PcgOptions {
-            tol: 1e-15,
-            max_iterations: 3,
-            variant,
-            ..Default::default()
-        };
-        let rep = pcg_try_solve_into(&a, &b, &mut u, &pre, &opts, &mut ws).unwrap();
-        assert!(!rep.converged, "{variant:?}");
-        // The residual claim is schedule-agnostic, but the iteration count
-        // is granular: the s-step schedule runs whole `s`-blocks, so
-        // `SStep { s: 4 }` exhausts this budget at 0 iterations.
-        assert!(
-            rep.iterations <= 3,
-            "{variant:?}: budget overrun: {}",
-            rep.iterations
-        );
-        let mut true_r = b.clone();
-        a.mul_vec_axpy(-1.0, &u, &mut true_r);
-        let expected = vecops::norm2(&true_r) / vecops::norm2(&b);
-        assert_eq!(
-            rep.final_relative_residual.to_bits(),
-            expected.to_bits(),
-            "{variant:?}: reported {} vs recomputed {}",
-            rep.final_relative_residual,
-            expected
-        );
-    }
+    let mut ws = PcgWorkspace::new(64);
+    let mut u = vec![0.0; 64];
+    let opts = PcgOptions {
+        tol: 1e-15,
+        max_iterations: 3,
+        ..Default::default()
+    };
+    let rep = pcg_try_solve_into(&a, &b, &mut u, &pre, &opts, &mut ws).unwrap();
+    assert!(!rep.converged);
+    assert_eq!(rep.iterations, 3);
+    let mut true_r = b.clone();
+    a.mul_vec_axpy(-1.0, &u, &mut true_r);
+    let expected = vecops::norm2(&true_r) / vecops::norm2(&b);
+    assert_eq!(
+        rep.final_relative_residual.to_bits(),
+        expected.to_bits(),
+        "reported {} vs recomputed {}",
+        rep.final_relative_residual,
+        expected
+    );
 }
 
 #[test]
@@ -258,50 +226,41 @@ fn multi_rhs_edge_shapes() {
     let (a, p) = rb_laplacian(16);
     let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 1).unwrap();
     let b: Vec<f64> = (0..16).map(|i| (i as f64 * 0.3).sin()).collect();
-    for variant in ALL_VARIANTS {
-        let opts = PcgOptions {
-            variant,
-            ..Default::default()
-        };
+    let opts = PcgOptions::default();
 
-        // Zero RHS in the batch.
-        let mut ws = MultiRhsWorkspace::new(16, 0);
-        let sum = pcg_solve_multi(&a, &[], &mut [], &pre, &opts, &mut ws).unwrap();
-        assert_eq!(sum.solved, 0, "{variant:?}");
+    // Zero RHS in the batch.
+    let mut ws = MultiRhsWorkspace::new(16, 0);
+    let sum = pcg_solve_multi(&a, &[], &mut [], &pre, &opts, &mut ws).unwrap();
+    assert_eq!(sum.solved, 0);
 
-        // Single RHS batch behaves like a standalone solve.
-        let mut u_batch = vec![0.0; 16];
-        let mut ws = MultiRhsWorkspace::new(16, 1);
-        let sum = pcg_solve_multi(&a, &b, &mut u_batch, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(sum.converged, 1, "{variant:?}");
-        assert_eq!(ws.outcomes().len(), 1, "{variant:?}");
-        assert_eq!(
-            ws.outcomes()[0].status,
-            SolveStatus::Converged,
-            "{variant:?}"
-        );
-        let mut sws = PcgWorkspace::new(16);
-        let mut u_single = vec![0.0; 16];
-        pcg_solve_into(&a, &b, &mut u_single, &pre, &opts, &mut sws).unwrap();
-        assert_eq!(u_batch, u_single, "{variant:?}");
+    // Single RHS batch behaves like a standalone solve.
+    let mut u_batch = vec![0.0; 16];
+    let mut ws = MultiRhsWorkspace::new(16, 1);
+    let sum = pcg_solve_multi(&a, &b, &mut u_batch, &pre, &opts, &mut ws).unwrap();
+    assert_eq!(sum.converged, 1);
+    assert_eq!(ws.outcomes().len(), 1);
+    assert_eq!(ws.outcomes()[0].status, SolveStatus::Converged);
+    let mut sws = PcgWorkspace::new(16);
+    let mut u_single = vec![0.0; 16];
+    pcg_solve_into(&a, &b, &mut u_single, &pre, &opts, &mut sws).unwrap();
+    assert_eq!(u_batch, u_single);
 
-        // Batch containing a b = 0 column gets the exact zero column back.
-        let mut f = b.clone();
-        f.extend(std::iter::repeat_n(0.0, 16));
-        let mut u = vec![1.0; 32];
-        let mut ws = MultiRhsWorkspace::new(16, 2);
-        let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(sum.converged, 2, "{variant:?}");
-        assert!(u[16..].iter().all(|&v| v == 0.0), "{variant:?}");
-    }
+    // Batch containing a b = 0 column gets the exact zero column back.
+    let mut f = b.clone();
+    f.extend(std::iter::repeat_n(0.0, 16));
+    let mut u = vec![1.0; 32];
+    let mut ws = MultiRhsWorkspace::new(16, 2);
+    let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
+    assert_eq!(sum.converged, 2);
+    assert!(u[16..].iter().all(|&v| v == 0.0));
 }
 
 #[test]
 fn out_of_range_sstep_width_is_a_typed_error() {
     // An s-step block must hold 2..=MAX_SSTEP_S vectors. Every entry point
-    // rejects other widths up front — the serial solve must not index an
-    // empty block, and the SPMD solve must not run a different schedule
-    // than the one asked for.
+    // rejects other widths up front — the serial solves run classic but
+    // still refuse a request the SPMD executor would refuse, and the SPMD
+    // solve must not run a different schedule than the one asked for.
     let (a, p) = rb_laplacian(16);
     let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
     let spmd = ParallelMStepPcg::new(&a, &p, vec![1.0; 2]).unwrap();

@@ -1,8 +1,8 @@
 //! Fault-injection conformance harness.
 //!
-//! One parameterized loop runs *every* [`PcgVariant`] × {serial, SPMD at
-//! 1/2/4/8 workers} × {plate, Poisson, arrow} under injected faults and
-//! asserts, for every cell:
+//! One parameterized loop runs the serial classic solver and *every*
+//! [`PcgVariant`] on the SPMD executor at 1/2/4/8 workers × {plate,
+//! Poisson, arrow} under injected faults and asserts, for every cell:
 //!
 //! * **(a) rescue** — a NaN out of a preconditioner application and a
 //!   large-but-finite SpMV corruption both leave the solve *converged*,
@@ -14,11 +14,11 @@
 //!   iteration-indexed plans in the SPMD workers),
 //! * **(c) exact counters** — detections, replacements and ladder steps
 //!   are pinned exactly for the NaN cells, where the detection path is
-//!   schedule-determined: the serial ladder consumes a wrapper fault once
-//!   (detector rungs hand the iterate down, the lower rung runs clean),
-//!   while an SPMD [`FaultPlan`] fault is *persistent* — every rung rerun
-//!   restarts the iteration counter, so the fault re-fires per rung until
-//!   the classic rung absorbs it in place.
+//!   schedule-determined: the serial classic loop consumes a wrapper fault
+//!   once and restarts in place, while an SPMD [`FaultPlan`] fault is
+//!   *persistent* — every rung rerun restarts the iteration counter, so
+//!   the fault re-fires per rung until the classic rung absorbs it in
+//!   place.
 //!
 //! The finite-corruption cells run at a tight tolerance under an explicit
 //! audit policy: drift beyond the replacement bound is caught by the
@@ -151,14 +151,9 @@ fn run_cell<T>(
 }
 
 /// Exact (faults_detected, replacements, ladder steps) for a NaN
-/// preconditioner fault consumed ONCE (serial wrappers): detector rungs
-/// hand the iterate down and the lower rung runs clean.
-fn serial_nan_counters(variant: PcgVariant) -> (usize, usize, usize) {
-    match variant {
-        PcgVariant::Classic => (1, 1, 0),
-        _ => (1, 0, 1),
-    }
-}
+/// preconditioner fault consumed ONCE (serial wrappers): the classic loop
+/// detects it and restarts in place.
+const SERIAL_NAN_COUNTERS: (usize, usize, usize) = (1, 1, 0);
 
 /// Exact counters for a *persistent* (iteration-indexed) NaN fault in the
 /// SPMD solver: the fault re-fires on every ladder rung, each recurrence
@@ -168,7 +163,6 @@ fn spmd_nan_counters(variant: PcgVariant) -> (usize, usize, usize) {
         PcgVariant::Classic => (1, 1, 0),
         PcgVariant::Pipelined => (2, 1, 1),
         PcgVariant::SStep { .. } => (3, 1, 2),
-        PcgVariant::Auto => unreachable!(),
     }
 }
 
@@ -180,88 +174,84 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
         let b = rhs_for(n);
         let spmd = ParallelMStepPcg::new(a, &family.colors, vec![1.0; family.m]).unwrap();
 
+        // --- serial, NaN out of preconditioner application 2 -------------
+        {
+            let label = format!("{}/serial/nan-msolve", family.name);
+            let opts = PcgOptions {
+                tol: TOL,
+                criterion: StoppingCriterion::DisplacementChange,
+                recovery: RecoveryPolicy::off(),
+                ..Default::default()
+            };
+            let stats = run_cell(
+                &label,
+                &mut || {
+                    let pre = FaultyPreconditioner::new(
+                        MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
+                            .unwrap(),
+                        vec![ApplicationFault {
+                            application: 2,
+                            index: 3,
+                            kind: FaultKind::NaN,
+                        }],
+                    );
+                    let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial solve");
+                    assert!(sol.converged, "did not converge");
+                    assert_eq!(pre.injected(), 1, "fault was not consumed");
+                    (sol.x, sol.stats)
+                },
+                a,
+                &b,
+            );
+            assert_eq!(
+                (stats.faults_detected, stats.replacements, stats.fallbacks),
+                SERIAL_NAN_COUNTERS,
+                "{label}: counters {stats:?}"
+            );
+            assert_eq!(stats.audits, 0, "{label}: policy pinned off");
+        }
+
+        // --- serial, finite SpMV corruption under an audit policy --------
+        {
+            let label = format!("{}/serial/audited-spmv", family.name);
+            let opts = PcgOptions {
+                tol: TIGHT,
+                criterion: StoppingCriterion::DisplacementChange,
+                recovery: RecoveryPolicy {
+                    replacement: Toggle::On,
+                    audit_period: 4,
+                    ..RecoveryPolicy::default()
+                },
+                ..Default::default()
+            };
+            let stats = run_cell(
+                &label,
+                &mut || {
+                    let op = FaultyOp::new(
+                        a.clone(),
+                        vec![ApplicationFault {
+                            application: 3,
+                            index: 3,
+                            kind: FaultKind::BitFlip(55),
+                        }],
+                    );
+                    let pre = MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
+                        .unwrap();
+                    let sol = pcg_solve(&op, &b, &pre, &opts).expect("audited serial solve");
+                    assert!(sol.converged, "did not converge");
+                    (sol.x, sol.stats)
+                },
+                a,
+                &b,
+            );
+            assert!(stats.audits >= 1, "{label}: no audit ran");
+            assert_eq!(
+                stats.faults_detected, 0,
+                "{label}: a finite corruption must not trip the NaN checks"
+            );
+        }
+
         for variant in ALL_VARIANTS {
-            // --- serial, NaN out of preconditioner application 2 ---------
-            {
-                let label = format!("{}/serial/{variant:?}/nan-msolve", family.name);
-                let opts = PcgOptions {
-                    tol: TOL,
-                    criterion: StoppingCriterion::DisplacementChange,
-                    variant,
-                    recovery: RecoveryPolicy::off(),
-                    ..Default::default()
-                };
-                let stats = run_cell(
-                    &label,
-                    &mut || {
-                        let pre = FaultyPreconditioner::new(
-                            MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
-                                .unwrap(),
-                            vec![ApplicationFault {
-                                application: 2,
-                                index: 3,
-                                kind: FaultKind::NaN,
-                            }],
-                        );
-                        let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial solve");
-                        assert!(sol.converged, "did not converge");
-                        assert_eq!(pre.injected(), 1, "fault was not consumed");
-                        (sol.x, sol.stats)
-                    },
-                    a,
-                    &b,
-                );
-                let (faults, replacements, fallbacks) = serial_nan_counters(variant);
-                assert_eq!(
-                    (stats.faults_detected, stats.replacements, stats.fallbacks),
-                    (faults, replacements, fallbacks),
-                    "{label}: counters {stats:?}"
-                );
-                assert_eq!(stats.audits, 0, "{label}: policy pinned off");
-            }
-
-            // --- serial, finite SpMV corruption under an audit policy ----
-            {
-                let label = format!("{}/serial/{variant:?}/audited-spmv", family.name);
-                let opts = PcgOptions {
-                    tol: TIGHT,
-                    criterion: StoppingCriterion::DisplacementChange,
-                    variant,
-                    recovery: RecoveryPolicy {
-                        replacement: Toggle::On,
-                        audit_period: 4,
-                        ..RecoveryPolicy::default()
-                    },
-                    ..Default::default()
-                };
-                let stats = run_cell(
-                    &label,
-                    &mut || {
-                        let op = FaultyOp::new(
-                            a.clone(),
-                            vec![ApplicationFault {
-                                application: 3,
-                                index: 3,
-                                kind: FaultKind::BitFlip(55),
-                            }],
-                        );
-                        let pre =
-                            MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
-                                .unwrap();
-                        let sol = pcg_solve(&op, &b, &pre, &opts).expect("audited serial solve");
-                        assert!(sol.converged, "did not converge");
-                        (sol.x, sol.stats)
-                    },
-                    a,
-                    &b,
-                );
-                assert!(stats.audits >= 1, "{label}: no audit ran");
-                assert_eq!(
-                    stats.faults_detected, 0,
-                    "{label}: a finite corruption must not trip the NaN checks"
-                );
-            }
-
             // --- SPMD at every thread count ------------------------------
             for threads in [1usize, 2, 4, 8] {
                 // NaN out of the iteration-2 preconditioner application:
@@ -352,7 +342,7 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
 /// The recovery ladder is preconditioner-agnostic: a NaN out of the
 /// barrier-free **polynomial** msolve walks the exact same detection /
 /// replacement / rung path as a poisoned SSOR sweep — serially (fault
-/// consumed once, lower rung runs clean) and in the SPMD solver
+/// consumed once, classic restarts in place) and in the SPMD solver
 /// (iteration-indexed plan re-fires per rung until the classic rung
 /// absorbs it).
 #[test]
@@ -363,44 +353,42 @@ fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
         let degree = 2 * family.m;
         let spmd = ParallelMStepPcg::poly(a, &family.colors, PolyKind::Chebyshev, degree).unwrap();
 
-        for variant in ALL_VARIANTS {
-            // --- serial, NaN out of polynomial application 2 -------------
-            {
-                let label = format!("{}/serial/{variant:?}/nan-poly-msolve", family.name);
-                let opts = PcgOptions {
-                    tol: TOL,
-                    criterion: StoppingCriterion::DisplacementChange,
-                    variant,
-                    recovery: RecoveryPolicy::off(),
-                    ..Default::default()
-                };
-                let stats = run_cell(
-                    &label,
-                    &mut || {
-                        let pre = FaultyPreconditioner::new(
-                            PolynomialPreconditioner::chebyshev(a.clone(), degree).unwrap(),
-                            vec![ApplicationFault {
-                                application: 2,
-                                index: 3,
-                                kind: FaultKind::NaN,
-                            }],
-                        );
-                        let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial poly solve");
-                        assert!(sol.converged, "did not converge");
-                        assert_eq!(pre.injected(), 1, "fault was not consumed");
-                        (sol.x, sol.stats)
-                    },
-                    a,
-                    &b,
-                );
-                let (faults, replacements, fallbacks) = serial_nan_counters(variant);
-                assert_eq!(
-                    (stats.faults_detected, stats.replacements, stats.fallbacks),
-                    (faults, replacements, fallbacks),
-                    "{label}: counters {stats:?}"
-                );
-            }
+        // --- serial, NaN out of polynomial application 2 -----------------
+        {
+            let label = format!("{}/serial/nan-poly-msolve", family.name);
+            let opts = PcgOptions {
+                tol: TOL,
+                criterion: StoppingCriterion::DisplacementChange,
+                recovery: RecoveryPolicy::off(),
+                ..Default::default()
+            };
+            let stats = run_cell(
+                &label,
+                &mut || {
+                    let pre = FaultyPreconditioner::new(
+                        PolynomialPreconditioner::chebyshev(a.clone(), degree).unwrap(),
+                        vec![ApplicationFault {
+                            application: 2,
+                            index: 3,
+                            kind: FaultKind::NaN,
+                        }],
+                    );
+                    let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial poly solve");
+                    assert!(sol.converged, "did not converge");
+                    assert_eq!(pre.injected(), 1, "fault was not consumed");
+                    (sol.x, sol.stats)
+                },
+                a,
+                &b,
+            );
+            assert_eq!(
+                (stats.faults_detected, stats.replacements, stats.fallbacks),
+                SERIAL_NAN_COUNTERS,
+                "{label}: counters {stats:?}"
+            );
+        }
 
+        for variant in ALL_VARIANTS {
             // --- SPMD, persistent NaN at the iteration-2 poly msolve -----
             for threads in [1usize, 2, 4, 8] {
                 let label = format!("{}/spmd{threads}/{variant:?}/nan-poly-msolve", family.name);

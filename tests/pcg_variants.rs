@@ -1,24 +1,23 @@
-//! PCG variant contracts, end to end.
+//! PCG variant contracts of the serial entry points, end to end.
 //!
-//! The pipelined and s-step recurrences follow different-but-bounded
-//! rounding paths from the classic two-dot loop, so the contract is not
-//! bitwise equality across variants — it is:
+//! The pipelined and s-step recurrences run only on the SPMD executor
+//! (`tests/variant_conformance.rs` covers them there). The serial
+//! contracts are:
 //!
+//! * every variant request runs the classic loop: serial and batched
+//!   solves requested as pipelined or s-step return the classic solution
+//!   bitwise, with identical counters,
 //! * the classic loop drives the TRUE relative residual of the plate and
 //!   Poisson families below a small multiple of the tolerance, bitwise
-//!   reproducibly across thread counts (the xorshift property loop
-//!   below; `tests/variant_conformance.rs` covers every variant),
-//! * recurrence breakdown falls back to the classic loop from the
-//!   current iterate instead of failing the solve,
-//! * the batched multi-RHS driver threads every variant through
-//!   unchanged: every lane replays its standalone solve bitwise.
+//!   reproducibly across thread counts (the xorshift property loop),
+//! * the batched multi-RHS driver replays every lane's standalone solve
+//!   bitwise.
 
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace};
 use mspcg::core::pcg::{
     pcg_solve, pcg_solve_into, PcgOptions, PcgVariant, PcgWorkspace, StoppingCriterion,
 };
-use mspcg::core::preconditioner::Preconditioner;
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::fem::poisson::poisson5;
 use mspcg::sparse::{par, vecops, CsrMatrix, Partition};
@@ -124,134 +123,93 @@ fn property_loop_classic_across_thread_counts() {
     par::set_max_threads(before);
 }
 
-/// The batched driver threads the variant through untouched: every lane
-/// of a batch replays its standalone solve bitwise under every variant,
-/// and the batch stays allocation-compatible with the shared workspace.
+/// Every variant request is served by the classic loop: a serial solve
+/// requested as pipelined or s-step returns the classic iterate to the
+/// bit with the same iteration count and counters, and so does every lane
+/// of a batched solve.
 #[test]
-fn multi_rhs_batch_replays_standalone_solves_bitwise_for_every_variant() {
+fn every_variant_request_runs_the_classic_loop_bitwise() {
+    let (a, colors) = ordered_plate(7);
+    let n = a.rows();
+    let pre = MStepSsorPreconditioner::unparametrized(&a, &colors, 2).expect("preconditioner");
+    let nrhs = 3usize;
+    let mut rng = Rng::new(0x5EED);
+    let f: Vec<f64> = (0..nrhs * n).map(|_| rng.unit() - 0.5).collect();
+    let classic = opts(PcgVariant::Classic, 1e-9);
+    let reference = pcg_solve(&a, &f[..n], &pre, &classic).expect("classic");
+    let mut ref_batch = vec![0.0; nrhs * n];
+    let mut ws = MultiRhsWorkspace::new(n, nrhs);
+    pcg_solve_multi(&a, &f, &mut ref_batch, &pre, &classic, &mut ws).expect("classic batch");
+    let ref_lanes: Vec<_> = ws.outcomes().iter().map(|o| o.report).collect();
+    for variant in ALL_VARIANTS {
+        let solve_opts = opts(variant, 1e-9);
+        let sol = pcg_solve(&a, &f[..n], &pre, &solve_opts).expect("serial");
+        assert!(
+            sol.x
+                .iter()
+                .zip(&reference.x)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{variant:?}: serial iterate differs from classic"
+        );
+        assert_eq!(sol.iterations, reference.iterations, "{variant:?}");
+        assert_eq!(sol.stats, reference.stats, "{variant:?}");
+
+        let mut u = vec![0.0; nrhs * n];
+        let mut ws = MultiRhsWorkspace::new(n, nrhs);
+        pcg_solve_multi(&a, &f, &mut u, &pre, &solve_opts, &mut ws).expect("batch");
+        assert!(
+            u.iter()
+                .zip(&ref_batch)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{variant:?}: batched iterates differ from classic"
+        );
+        for (i, (lane, want)) in ws.outcomes().iter().zip(&ref_lanes).enumerate() {
+            assert_eq!(
+                lane.report.iterations, want.iterations,
+                "{variant:?}: RHS {i}"
+            );
+            assert_eq!(lane.report.stats, want.stats, "{variant:?}: RHS {i}");
+        }
+    }
+}
+
+/// The batched driver replays standalone solves: every lane of a batch
+/// equals its standalone solve bitwise, and the batch stays
+/// allocation-compatible with the shared workspace.
+#[test]
+fn multi_rhs_batch_replays_standalone_solves_bitwise() {
     let (a, colors) = ordered_plate(7);
     let n = a.rows();
     let pre = MStepSsorPreconditioner::unparametrized(&a, &colors, 2).expect("preconditioner");
     let nrhs = 5usize;
     let mut rng = Rng::new(42);
     let f: Vec<f64> = (0..nrhs * n).map(|_| rng.unit() - 0.5).collect();
-    for variant in ALL_VARIANTS {
-        let solve_opts = opts(variant, 1e-9);
-        let mut u = vec![0.0; nrhs * n];
-        let mut ws = MultiRhsWorkspace::new(n, nrhs);
-        let summary = pcg_solve_multi(&a, &f, &mut u, &pre, &solve_opts, &mut ws).expect("batch");
-        assert_eq!(summary.converged, nrhs, "{variant:?}");
-        let mut single_ws = PcgWorkspace::new(n);
-        for i in 0..nrhs {
-            let mut ui = vec![0.0; n];
-            let rep = pcg_solve_into(
-                &a,
-                &f[i * n..(i + 1) * n],
-                &mut ui,
-                &pre,
-                &solve_opts,
-                &mut single_ws,
-            )
-            .expect("standalone");
-            assert!(
-                u[i * n..(i + 1) * n]
-                    .iter()
-                    .zip(&ui)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{variant:?}: RHS {i} differs from its standalone solve"
-            );
-            let lane = &ws.outcomes()[i].report;
-            assert_eq!(lane.iterations, rep.iterations, "{variant:?}: RHS {i}");
-            assert_eq!(lane.stats, rep.stats, "{variant:?}: RHS {i}");
-            // The pipelined counter survives the batch path: one
-            // reduction phase per iteration (+1 init; converging
-            // relative-residual iterations run theirs).
-            if variant == PcgVariant::Pipelined {
-                assert!(
-                    lane.stats.reduction_phases <= rep.iterations + 1,
-                    "RHS {i}: {} phases for {} iterations",
-                    lane.stats.reduction_phases,
-                    rep.iterations
-                );
-            }
-        }
+    let solve_opts = opts(PcgVariant::Classic, 1e-9);
+    let mut u = vec![0.0; nrhs * n];
+    let mut ws = MultiRhsWorkspace::new(n, nrhs);
+    let summary = pcg_solve_multi(&a, &f, &mut u, &pre, &solve_opts, &mut ws).expect("batch");
+    assert_eq!(summary.converged, nrhs);
+    let mut single_ws = PcgWorkspace::new(n);
+    for i in 0..nrhs {
+        let mut ui = vec![0.0; n];
+        let rep = pcg_solve_into(
+            &a,
+            &f[i * n..(i + 1) * n],
+            &mut ui,
+            &pre,
+            &solve_opts,
+            &mut single_ws,
+        )
+        .expect("standalone");
+        assert!(
+            u[i * n..(i + 1) * n]
+                .iter()
+                .zip(&ui)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "RHS {i} differs from its standalone solve"
+        );
+        let lane = &ws.outcomes()[i].report;
+        assert_eq!(lane.iterations, rep.iterations, "RHS {i}");
+        assert_eq!(lane.stats, rep.stats, "RHS {i}");
     }
-}
-
-/// The adversarial preconditioner of the breakdown tests: the identity on
-/// every application except one, where it adds a huge constant component
-/// — a low-curvature direction that sends the recurrence's reconstructed
-/// denominator nonpositive while the matrix itself stays SPD.
-struct AdversarialPreconditioner {
-    n: usize,
-    at_call: usize,
-    calls: std::cell::Cell<usize>,
-}
-
-impl Preconditioner for AdversarialPreconditioner {
-    fn dim(&self) -> usize {
-        self.n
-    }
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let call = self.calls.get();
-        self.calls.set(call + 1);
-        z.copy_from_slice(r);
-        if call == self.at_call {
-            // Signed by Σr so the carried γ′ stays positive — the guard
-            // that must fire is the denominator/curvature one, the
-            // fallback path, not the indefinite-M error.
-            let s: f64 = r.iter().sum();
-            let t = 1e8f64.copysign(s);
-            for zi in z.iter_mut() {
-                *zi += t;
-            }
-        }
-    }
-}
-
-/// Pipelined-breakdown satellite: the sabotaged application lands on the
-/// heavy phase `mv = M⁻¹w`, poisoning the `q`/`z` carries; a guard must
-/// fire, the solve must CONTINUE from the current iterate on the classic
-/// loop (not restart or error), and the report must say FALLBACK.
-#[test]
-fn pipelined_breakdown_falls_back_from_current_iterate_and_reports_fallback() {
-    let (a, _) = ordered_plate(7);
-    let n = a.rows();
-    let mut rng = Rng::new(0xBAD5EED);
-    let b: Vec<f64> = (0..n).map(|_| rng.unit() * 2.0 - 1.0).collect();
-    let pre = AdversarialPreconditioner {
-        n,
-        at_call: 4,
-        calls: std::cell::Cell::new(0),
-    };
-    let solve_opts = opts(PcgVariant::Pipelined, 1e-10);
-    let sol = pcg_solve(&a, &b, &pre, &solve_opts).expect("fallback must rescue the solve");
-    assert!(sol.converged);
-    // The report says FALLBACK.
-    assert_eq!(sol.stats.fallbacks, 1, "breakdown was not recorded");
-    assert!(true_residual(&a, &b, &sol.x) < 50.0 * 1e-10);
-    // Continuation, not restart: the classic suffix runs from the current
-    // iterate, so its two serialized reduction phases per iteration stack
-    // on top of the pipelined prefix's one per iteration…
-    assert!(
-        sol.stats.reduction_phases >= sol.iterations + 2,
-        "{} phases over {} iterations — the classic suffix never ran",
-        sol.stats.reduction_phases,
-        sol.iterations
-    );
-    // …and the total stays near an uninterrupted identity-preconditioned
-    // classic solve (a restart would roughly double it).
-    let clean = pcg_solve(
-        &a,
-        &b,
-        &mspcg::core::preconditioner::IdentityPreconditioner::new(n),
-        &opts(PcgVariant::Classic, 1e-10),
-    )
-    .expect("clean classic");
-    assert!(
-        sol.iterations <= clean.iterations + clean.iterations / 2 + 8,
-        "fallback {} vs clean {} iterations — looks like a restart",
-        sol.iterations,
-        clean.iterations
-    );
 }

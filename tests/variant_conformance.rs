@@ -1,8 +1,10 @@
 //! Cross-variant conformance harness.
 //!
-//! **One** parameterized property loop runs *every* [`PcgVariant`] ×
-//! {serial, SPMD 1/2/4/8 threads} × {plate, Poisson, arrow} × formats
-//! {CSR, SELL-C-σ} and asserts, for every cell of that matrix:
+//! **One** parameterized property loop runs the serial classic solver and
+//! *every* [`PcgVariant`] on the SPMD executor at 1/2/4/8 threads ×
+//! {plate, Poisson, arrow} × formats {CSR, SELL-C-σ} and asserts, for
+//! every cell of that matrix (the serial solvers run the classic loop for
+//! every variant, so their axis is classic only):
 //!
 //! * **(a) convergence to the same tolerance** — the solve reports
 //!   converged and the TRUE recomputed residual `‖f − Ku‖/‖f‖` is below a
@@ -133,11 +135,16 @@ fn audited() -> RecoveryPolicy {
     }
 }
 
-/// Every variant, under the default recovery policy and under [`audited`].
+/// The default recovery policy and [`audited`].
+fn policies() -> [RecoveryPolicy; 2] {
+    [RecoveryPolicy::default(), audited()]
+}
+
+/// Every variant, under each of [`policies`].
 fn variant_policies() -> impl Iterator<Item = (PcgVariant, RecoveryPolicy)> {
     ALL_VARIANTS
         .into_iter()
-        .flat_map(|v| [(v, RecoveryPolicy::default()), (v, audited())])
+        .flat_map(|v| policies().map(|r| (v, r)))
 }
 
 /// A recovery-on solve long enough to reach two audit points must have
@@ -210,12 +217,11 @@ fn every_variant_conforms_across_executors_families_and_formats() {
             );
         };
 
-        for (variant, recovery) in variant_policies() {
+        for recovery in policies() {
             let policy = recovery.replacement;
             let serial_opts = PcgOptions {
                 tol: TOL,
                 criterion: StoppingCriterion::DisplacementChange,
-                variant,
                 recovery,
                 ..Default::default()
             };
@@ -223,7 +229,7 @@ fn every_variant_conforms_across_executors_families_and_formats() {
             // generic over `SparseOp`; the preconditioner sees identical
             // structure either way.
             {
-                let label = format!("{}/serial/csr/{variant:?}/{policy:?}", family.name);
+                let label = format!("{}/serial/csr/{policy:?}", family.name);
                 let (_, iters) = run_cell(
                     &label,
                     &mut || {
@@ -238,7 +244,7 @@ fn every_variant_conforms_across_executors_families_and_formats() {
                 check_iters(&label, iters);
             }
             {
-                let label = format!("{}/serial/sellcs/{variant:?}/{policy:?}", family.name);
+                let label = format!("{}/serial/sellcs/{policy:?}", family.name);
                 let (_, iters) = run_cell(
                     &label,
                     &mut || {
@@ -252,6 +258,10 @@ fn every_variant_conforms_across_executors_families_and_formats() {
                 );
                 check_iters(&label, iters);
             }
+        }
+
+        for (variant, recovery) in variant_policies() {
+            let policy = recovery.replacement;
             // SPMD executor at 1/2/4/8 workers, both formats. A
             // recurrence variant that falls back near convergence reports
             // the classic schedule — conformance only requires the
@@ -286,9 +296,10 @@ fn every_variant_conforms_across_executors_families_and_formats() {
     }
 }
 
-/// The **polynomial-preconditioner axis** of the same matrix: every
-/// variant × executor × family × format again, with the barrier-free
-/// Newton–Chebyshev msolve in place of the m-step SSOR sweeps. The degree
+/// The **polynomial-preconditioner axis** of the same matrix: serial
+/// classic and every SPMD variant × family × format again, with the
+/// barrier-free Newton–Chebyshev msolve in place of the m-step SSOR
+/// sweeps. The degree
 /// is `2m` — the flop-matched exchange rate (a degree-`2m` chain streams
 /// the matrix as often as `m` forward+backward sweeps) — and the slack
 /// baseline is the serial classic CSR *polynomial* solve of each family,
@@ -327,17 +338,16 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
             );
         };
 
-        for (variant, recovery) in variant_policies() {
+        for recovery in policies() {
             let policy = recovery.replacement;
             let serial_opts = PcgOptions {
                 tol: TOL,
                 criterion: StoppingCriterion::DisplacementChange,
-                variant,
                 recovery,
                 ..Default::default()
             };
             for (fmt, op) in [("csr", None), ("sellcs", Some(&sell))] {
-                let label = format!("{}/serial/{fmt}/{variant:?}/{policy:?}/poly", family.name);
+                let label = format!("{}/serial/{fmt}/{policy:?}/poly", family.name);
                 let (_, iters) = run_cell(
                     &label,
                     &mut || {
@@ -355,6 +365,10 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
                 );
                 check_iters(&label, iters);
             }
+        }
+
+        for (variant, recovery) in variant_policies() {
+            let policy = recovery.replacement;
             for threads in [1usize, 2, 4, 8] {
                 let spmd_opts = ParallelSolverOptions {
                     threads,
