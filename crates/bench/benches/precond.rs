@@ -10,7 +10,10 @@
 //! the chunked chain, and the full SPMD solve — iterations × barriers ×
 //! wall time per variant, with the exact degree-`k` barrier formulas
 //! (classic `k+3`, pipelined `k+1` per iteration) *asserted* in-run,
-//! not just recorded.
+//! not just recorded; (e) the Lanczos spectrum estimate behind the
+//! polynomial set-up at pool budgets 1 and `nproc`. Every SPMD row
+//! records the workers the solve actually used as `spmd_workers`
+//! (`threads` is the kernel-pool budget).
 //!
 //! Record results: `cargo bench -p mspcg-bench --bench precond -- --json
 //! BENCH_pr8.json` (PR 1 recorded the sweep-only groups as
@@ -18,11 +21,13 @@
 
 use mspcg_bench::experiments::{ordered_plate, ordered_poisson};
 use mspcg_bench::timing::{bench, finish, BenchResult};
+use mspcg_core::poly::{jacobi_spectrum, SPECTRUM_STEPS};
 use mspcg_core::preconditioner::Preconditioner;
 use mspcg_core::splitting::Splitting;
 use mspcg_core::ssor::MulticolorSsor;
 use mspcg_core::{PcgVariant, PolynomialPreconditioner, RecoveryPolicy};
 use mspcg_parallel::{ParallelMStepPcg, ParallelSolverOptions};
+use mspcg_sparse::lanczos::SpectralInterval;
 use mspcg_sparse::{par, PolyKind};
 use std::hint::black_box;
 
@@ -229,11 +234,49 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
                 .with_extra("barriers_per_iter", rep.barrier_crossings as f64 / iters)
                 .with_extra("reductions_per_iter", rep.reduction_phases as f64 / iters)
                 .with_extra("splits_per_iter", rep.split_crossings as f64 / iters)
-                .with_extra("colors", c as f64);
+                .with_extra("colors", c as f64)
+                .with_extra("spmd_workers", rep.threads as f64);
                 results.push(run);
             }
         }
     }
+}
+
+/// (e) The Lanczos spectrum estimate behind every polynomial set-up, on
+/// the Jacobi-scaled 256×256 Poisson operator at pool budgets 1 and
+/// `nproc`. The full step budget must run, and the interval must be
+/// bitwise the same at both budgets (chunk-deterministic reductions).
+fn bench_spectrum_estimate(results: &mut Vec<BenchResult>) {
+    let (matrix, _, _) = ordered_poisson(256).expect("poisson 256");
+    let inv_diag: Vec<f64> = (0..matrix.rows()).map(|i| 1.0 / matrix.get(i, i)).collect();
+    let hw = par::max_threads();
+    let nproc = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+        .min(par::pool_capacity());
+    let mut reference: Option<SpectralInterval> = None;
+    for t in std::iter::once(1).chain((nproc > 1).then_some(nproc)) {
+        par::set_max_threads(t);
+        let mut est = None;
+        let run = bench("spectrum_poisson256", &format!("par{t}"), || {
+            est = Some(jacobi_spectrum(black_box(&matrix), black_box(&inv_diag)).expect("lanczos"));
+        });
+        let est = est.expect("bench ran the estimate");
+        assert_eq!(
+            est.steps, SPECTRUM_STEPS,
+            "spectrum_poisson256/par{t}: Lanczos stopped early"
+        );
+        match reference {
+            None => reference = Some(est),
+            Some(want) => assert_eq!(
+                (want.min.to_bits(), want.max.to_bits()),
+                (est.min.to_bits(), est.max.to_bits()),
+                "spectrum estimate differs between 1 and {t} pool threads"
+            ),
+        }
+        results.push(run.with_extra("steps", est.steps as f64));
+    }
+    par::set_max_threads(hw);
 }
 
 fn main() {
@@ -244,5 +287,6 @@ fn main() {
     bench_poly_vs_mstep_apply(&mut results);
     bench_poly_thread_determinism(&mut results);
     bench_poly_vs_mstep_spmd(&mut results);
+    bench_spectrum_estimate(&mut results);
     finish(&results);
 }

@@ -150,11 +150,16 @@ fn bench_spmd(results: &mut Vec<BenchResult>, a: usize, m: usize, threads: usize
             "{group}: auditing changed the iterate"
         );
         let overhead = record_aud.mean_ns / off_mean;
-        results.push(record_off.with_extra("iterations", rep_off.iterations as f64));
+        results.push(
+            record_off
+                .with_extra("iterations", rep_off.iterations as f64)
+                .with_extra("spmd_workers", rep_off.threads as f64),
+        );
         results.push(
             record_aud
                 .with_extra("audits", rep.audits as f64)
-                .with_extra("audit_overhead_x", overhead),
+                .with_extra("audit_overhead_x", overhead)
+                .with_extra("spmd_workers", rep.threads as f64),
         );
 
         // Ladder walk under a persistent NaN preconditioner fault at
@@ -196,7 +201,8 @@ fn bench_spmd(results: &mut Vec<BenchResult>, a: usize, m: usize, threads: usize
                 .with_extra("faults_detected", frep.faults_detected as f64)
                 .with_extra("replacements", frep.replacements as f64)
                 .with_extra("recoveries", frep.recoveries as f64)
-                .with_extra("faulted_overhead_x", faulted_mean / off_mean),
+                .with_extra("faulted_overhead_x", faulted_mean / off_mean)
+                .with_extra("spmd_workers", frep.threads as f64),
         );
     }
 }

@@ -119,7 +119,8 @@ fn bench_spmd(results: &mut Vec<BenchResult>, a: usize, m: usize, threads: usize
             .with_extra("iterations", iters)
             .with_extra("barriers_per_iter", rep.barrier_crossings as f64 / iters)
             .with_extra("reductions_per_iter", rep.reduction_phases as f64 / iters)
-            .with_extra("colors", c as f64);
+            .with_extra("colors", c as f64)
+            .with_extra("spmd_workers", rep.threads as f64);
         results.push(record);
     }
 }

@@ -46,14 +46,16 @@
 
 use crate::mstep::MStepSsorPreconditioner;
 use crate::preconditioner::Preconditioner;
-use mspcg_sparse::lanczos::{lanczos_extremes, SpectralInterval};
+use crate::splitting::jacobi_scaled_lanczos;
+use mspcg_sparse::lanczos::SpectralInterval;
 use mspcg_sparse::tuning::{PolyKind, PrecondKind};
 use mspcg_sparse::{vecops, CsrMatrix, Partition, SparseError, SparseOp};
 use std::sync::Mutex;
 
 /// Lanczos step budget when a constructor must estimate the spectral
 /// interval itself (matches the m-step constructors' power-iteration
-/// budget; `lanczos_extremes` clamps it to the operator dimension).
+/// budget; [`lanczos_extremes`](mspcg_sparse::lanczos::lanczos_extremes)
+/// clamps it to the operator dimension).
 pub const SPECTRUM_STEPS: usize = 60;
 
 /// Relative safeguard on the **upper** interval end (Ritz values
@@ -84,7 +86,7 @@ pub const LOWER_MARGIN: f64 = 0.1;
 /// [`UPPER_MARGIN`]) with the lower end clamped positive.
 ///
 /// # Errors
-/// Propagates [`lanczos_extremes`] failures.
+/// Propagates [`lanczos_extremes`](mspcg_sparse::lanczos::lanczos_extremes) failures.
 ///
 /// # Panics
 /// Panics if `inv_diag.len() != a.rows()`.
@@ -106,7 +108,7 @@ pub fn jacobi_spectrum<A: SparseOp>(
 /// run for both decisions.
 ///
 /// # Errors
-/// Propagates [`lanczos_extremes`] failures.
+/// Propagates [`lanczos_extremes`](mspcg_sparse::lanczos::lanczos_extremes) failures.
 ///
 /// # Panics
 /// Panics if `inv_diag.len() != a.rows()`.
@@ -114,19 +116,12 @@ pub fn raw_jacobi_spectrum<A: SparseOp>(
     a: &A,
     inv_diag: &[f64],
 ) -> Result<SpectralInterval, SparseError> {
-    let n = a.rows();
-    assert_eq!(inv_diag.len(), n, "jacobi_spectrum: diag length mismatch");
-    let dhalf: Vec<f64> = inv_diag.iter().map(|d| d.sqrt()).collect();
-    let mut tmp = vec![0.0; n];
-    lanczos_extremes(n, SPECTRUM_STEPS, 0x5EED, |x, y| {
-        for i in 0..n {
-            tmp[i] = dhalf[i] * x[i];
-        }
-        a.mul_vec_into(&tmp, y);
-        for i in 0..n {
-            y[i] *= dhalf[i];
-        }
-    })
+    assert_eq!(
+        inv_diag.len(),
+        a.rows(),
+        "jacobi_spectrum: diag length mismatch"
+    );
+    jacobi_scaled_lanczos(a, inv_diag, SPECTRUM_STEPS)
 }
 
 /// Apply the [`LOWER_MARGIN`] / [`UPPER_MARGIN`] relative safeguards to a

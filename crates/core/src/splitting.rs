@@ -15,7 +15,7 @@
 //!
 //! The multicolor SSOR splitting lives in [`crate::ssor`].
 
-use mspcg_sparse::lanczos::{lanczos_extremes, power_spectral_radius};
+use mspcg_sparse::lanczos::{lanczos_extremes, power_spectral_radius, SpectralInterval};
 use mspcg_sparse::{CsrMatrix, SparseError, SparseOp};
 use std::cell::RefCell;
 
@@ -120,6 +120,30 @@ impl<A: SparseOp + Clone> JacobiSplitting<A> {
     }
 }
 
+/// Lanczos estimate of `σ(D⁻¹K)` (`inv_diag = D⁻¹`) on the similar
+/// *symmetric* operator `D^{-1/2} K D^{-1/2}`, applied matrix-free
+/// (`y = D^{-1/2}·(K·(D^{-1/2}x))`) so no format needs a symmetric
+/// rescaling primitive; at most `steps` steps from the fixed seed
+/// `0x5EED`, unsafeguarded.
+pub(crate) fn jacobi_scaled_lanczos<A: SparseOp>(
+    a: &A,
+    inv_diag: &[f64],
+    steps: usize,
+) -> Result<SpectralInterval, SparseError> {
+    let n = a.rows();
+    let dhalf: Vec<f64> = inv_diag.iter().map(|d| d.sqrt()).collect();
+    let mut tmp = vec![0.0; n];
+    lanczos_extremes(n, steps, 0x5EED, |x, y| {
+        for i in 0..n {
+            tmp[i] = dhalf[i] * x[i];
+        }
+        a.mul_vec_into(&tmp, y);
+        for i in 0..n {
+            y[i] *= dhalf[i];
+        }
+    })
+}
+
 impl<A: SparseOp> JacobiSplitting<A> {
     /// The underlying matrix.
     pub fn matrix(&self) -> &A {
@@ -143,23 +167,10 @@ impl<A: SparseOp> Splitting for JacobiSplitting<A> {
         }
     }
 
-    /// Exact extremes of `σ(D⁻¹K)` via Lanczos on the similar *symmetric*
-    /// operator `D^{-1/2} K D^{-1/2}`, applied matrix-free
-    /// (`y = D^{-1/2}·(K·(D^{-1/2}x))`) so no format needs a symmetric
-    /// rescaling primitive.
+    /// Extremes of `σ(D⁻¹K)` by Lanczos on the similar symmetric operator
+    /// `D^{-1/2} K D^{-1/2}` (at least 8 steps), widened by 2 %.
     fn spectrum_interval(&self, iters: usize) -> Result<(f64, f64), SparseError> {
-        let n = self.dim();
-        let dhalf: Vec<f64> = self.inv_diag.iter().map(|d| d.sqrt()).collect();
-        let mut tmp = vec![0.0; n];
-        let est = lanczos_extremes(n, iters.clamp(8, n), 0x5EED, |x, y| {
-            for i in 0..n {
-                tmp[i] = dhalf[i] * x[i];
-            }
-            self.a.mul_vec_into(&tmp, y);
-            for i in 0..n {
-                y[i] *= dhalf[i];
-            }
-        })?;
+        let est = jacobi_scaled_lanczos(&self.a, &self.inv_diag, iters.max(8))?;
         let est = est.widened(0.02);
         Ok((est.min.max(1e-12), est.max))
     }

@@ -140,7 +140,7 @@ use mspcg_core::recovery::{
     RecoveryPolicy,
 };
 use mspcg_core::PolySchedule;
-use mspcg_sparse::lanczos::{lanczos_extremes, SpectralInterval};
+use mspcg_sparse::lanczos::{lanczos_extremes, lanczos_extremes_preconditioned, SpectralInterval};
 use mspcg_sparse::{vecops, Partition, PcgVariant, PolyKind, PrecondKind, SparseError, SparseOp};
 use std::sync::{Arc, OnceLock};
 
@@ -2487,15 +2487,14 @@ impl ParallelMStepPcg {
     /// 3. a fresh estimate, cached for every later solve: Lanczos
     ///    ([`SSTEP_SPECTRUM_STEPS`] steps from [`SSTEP_SPECTRUM_SEED`],
     ///    safeguarded like the polynomial preconditioner's estimate) on
-    ///    the composite `x ↦ M⁻¹(K x)` — `M⁻¹` evaluated by the
-    ///    [`ParallelMStepPcg::serial_msolve`] replica so the probed
-    ///    operator is bitwise the workers' — or on `K` itself for plain
-    ///    CG. That map is self-adjoint in the `M` inner product, not the
-    ///    Euclidean one, so the Ritz values carry an orthogonality
-    ///    error; but bound accuracy affects only the *conditioning* of
-    ///    the basis, and a snug bracket on `M⁻¹K` keeps the Chebyshev
-    ///    basis near-orthogonal. Runs on the main thread before any
-    ///    worker spawns.
+    ///    `M⁻¹K` in the `M` inner product, where it is self-adjoint
+    ///    ([`lanczos_extremes_preconditioned`] with `K` applied by
+    ///    [`ParallelMStepPcg::strip_spmv`] and `M⁻¹` by the
+    ///    [`ParallelMStepPcg::serial_msolve`] replica, so the probed
+    ///    operator is bitwise the workers'), or on `K` itself for plain
+    ///    CG. A snug bracket on `M⁻¹K` keeps the Chebyshev basis
+    ///    near-orthogonal. Runs on the main thread before any worker
+    ///    spawns.
     ///
     /// # Errors
     /// Lanczos breakdown ([`SparseError`] pass-through); the caller
@@ -2508,17 +2507,18 @@ impl ParallelMStepPcg {
             return Ok(*cached);
         }
         let n = self.dim();
-        let est = {
-            let mut tmp = vec![0.0; n];
+        let spmv = |x: &[f64], out: &mut [f64]| self.strip_spmv(x, out, 0..n);
+        let est = if self.alphas.is_empty() {
+            lanczos_extremes(n, SSTEP_SPECTRUM_STEPS, SSTEP_SPECTRUM_SEED, spmv)?
+        } else {
             let mut ycache = vec![0.0; n];
-            lanczos_extremes(n, SSTEP_SPECTRUM_STEPS, SSTEP_SPECTRUM_SEED, |x, out| {
-                if self.alphas.is_empty() {
-                    self.strip_spmv(x, out, 0..n);
-                } else {
-                    self.strip_spmv(x, &mut tmp, 0..n);
-                    self.serial_msolve(&tmp, out, &mut ycache);
-                }
-            })?
+            lanczos_extremes_preconditioned(
+                n,
+                SSTEP_SPECTRUM_STEPS,
+                SSTEP_SPECTRUM_SEED,
+                spmv,
+                |u, z| self.serial_msolve(u, z, &mut ycache),
+            )?
         };
         let interval = safeguard_jacobi_interval(est);
         // A racing second estimate computed the same value (the recipe
@@ -3509,6 +3509,21 @@ mod tests {
                 assert!((x - y).abs() < 1e-6, "{x} vs {y}, s = {s}");
             }
         }
+    }
+
+    /// `M⁻¹K` is self-adjoint in the `M` inner product only: a Euclidean
+    /// three-term Lanczos on the composite `x ↦ M⁻¹(Kx)` misplaces the
+    /// basis interval, and this cell then needs 54 iterations instead of
+    /// at most 39.
+    #[test]
+    fn sstep_basis_interval_comes_from_the_m_inner_product() {
+        let (a, colors, rhs) = plate(12);
+        let par = ParallelMStepPcg::new(&a, &colors, vec![1.0; 2]).unwrap();
+        let variant = PcgVariant::SStep { s: 8 };
+        let rep = par.solve(&rhs, &variant_opts(variant, 2, 1e-8)).unwrap();
+        assert!(rep.converged);
+        assert_eq!(rep.variant, variant, "fell back unexpectedly");
+        assert!(rep.iterations <= 39, "{} iterations", rep.iterations);
     }
 
     /// The acceptance gate of the s-step schedule, by exact formula: for

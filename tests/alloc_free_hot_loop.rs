@@ -1,13 +1,16 @@
 //! The zero-allocation contract of the PCG hot loop, verified with a
 //! counting global allocator: after a [`PcgWorkspace`] is constructed (and
 //! warmed once), repeated `pcg_solve_into` calls — the ω-sweep pattern —
-//! perform **no heap allocation at all**.
+//! perform **no heap allocation at all**; and the Lanczos spectrum
+//! estimate allocates the same at any step budget.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace};
 use mspcg::core::pcg::{pcg_solve_into, PcgOptions, PcgWorkspace};
 use mspcg::fem::plate::PlaneStressProblem;
+use mspcg::fem::poisson::poisson5;
+use mspcg::sparse::lanczos::lanczos_extremes;
 use mspcg::sparse::{CooMatrix, CsrMatrix, Partition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -172,5 +175,29 @@ fn multi_rhs_batch_solves_allocate_nothing_after_workspace_construction() {
         "multi-RHS batch allocated {} time(s) across {} solves",
         after - before,
         nrhs
+    );
+}
+
+#[test]
+fn lanczos_estimate_allocations_do_not_grow_with_the_step_count() {
+    let _guard = counter_lock();
+    // The spectrum estimate keeps a fixed set of n-vectors whatever its
+    // step budget: a per-step basis vector must not come back.
+    let a = poisson5(64).unwrap().matrix;
+    let n = a.rows();
+    let count = |steps: usize| {
+        let before = allocation_count();
+        let est = lanczos_extremes(n, steps, 0x5EED, |x, y| a.mul_vec_into(x, y)).unwrap();
+        let after = allocation_count();
+        assert_eq!(est.steps, steps);
+        after - before
+    };
+    // Warm once so lazy pool start-up lands outside both windows.
+    count(10);
+    let short = count(10);
+    let long = count(60);
+    assert_eq!(
+        short, long,
+        "lanczos_extremes allocated {short} time(s) at 10 steps but {long} at 60"
     );
 }
