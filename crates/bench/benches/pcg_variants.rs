@@ -105,7 +105,7 @@ fn bench_spmd(results: &mut Vec<BenchResult>, a: usize, m: usize, threads: usize
         let reductions_per_iter = rep.reduction_phases as f64 / iters;
         // Counter-verified schedules. (Plain CG, m = 0: the classic
         // schedule still pays a z ← r copy phase; the pipelined schedule
-        // pays one full barrier for the cross-strip K·w read.)
+        // pays one full barrier for the cross-worker K·w read.)
         match variant {
             PcgVariant::Pipelined => {
                 // The acceptance schedule, asserted in-run: m·(2C−1) full

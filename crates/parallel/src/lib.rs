@@ -5,11 +5,13 @@
 //! `mspcg-machine`.
 //!
 //! The design mirrors Algorithm 3's structure: each worker thread owns a
-//! contiguous strip of the color-ordered unknowns (the analogue of a
-//! processor's node assignment), every phase of the iteration is separated
-//! by a barrier (the analogue of the machine's synchronized communication
-//! steps), and the inner products are computed as per-worker partials
-//! reduced by worker 0 (the analogue of the sum/max circuit).
+//! balanced slice of every color block of the color-ordered unknowns (the
+//! analogue of a processor's node assignment, which §3.2 balances color by
+//! color so that every color phase runs on every processor), every phase
+//! of the iteration is separated by a barrier (the analogue of the
+//! machine's synchronized communication steps), and the inner products
+//! are computed as per-worker partials that every worker sums in the same
+//! order (the analogue of the sum/max circuit).
 //!
 //! Because the multicolor ordering guarantees that a row couples only to
 //! *other* color blocks, all updates within one color phase write disjoint

@@ -4,7 +4,8 @@
 //! strict *phase discipline* enforced by barriers:
 //!
 //! * within one phase, every element is written by **at most one** worker
-//!   (ownership by contiguous strip, or by strip ∩ color block),
+//!   (each worker owns a balanced slice of every color block; a color
+//!   phase writes only the worker's slice of that color),
 //! * elements *read* during a phase are never written in that same phase
 //!   (the multicolor property: a row's off-diagonal couplings point into
 //!   other color blocks, which the current phase does not touch),
@@ -18,7 +19,7 @@
 //! write range or index is in bounds (`debug_assert!`s in
 //! [`SharedVec::write`] and [`SharedVec::write_at`]). Write disjointness
 //! and the no-read-of-a-same-phase-write rule are *not* machine-checked:
-//! they rest on the own-strip arguments at each call site. A per-phase
+//! they rest on the owned-row arguments at each call site. A per-phase
 //! epoch/range checker is planned (`ROADMAP.md`, direction 5).
 
 use std::cell::UnsafeCell;
@@ -99,7 +100,7 @@ impl SharedVec {
     }
 
     /// Single-element write used by the color-sweep phases (ownership:
-    /// strip ∩ color block, one writer per index).
+    /// the worker's slice of the color block, one writer per index).
     ///
     /// # Safety
     /// Same contract as [`SharedVec::write`] for the single index.

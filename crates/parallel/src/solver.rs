@@ -1,18 +1,22 @@
 //! SPMD parallel m-step SSOR PCG on real threads.
 //!
-//! Worker `t` owns a contiguous strip of the color-ordered unknowns and
-//! every iteration phase is barrier-separated. ω is fixed at 1, the
-//! paper's recommendation for multicolor orderings.
+//! Worker `t` owns the `t`-th balanced slice of **every** color block of
+//! the color-ordered unknowns — the paper's §3.2 assignment of an equal
+//! number of nodes of each color to every processor — so each color
+//! phase of the SSOR sweeps keeps every worker busy. Every iteration
+//! phase is barrier-separated. ω is fixed at 1, the paper's
+//! recommendation for multicolor orderings.
 //!
 //! ## Fused phase schedule
 //!
 //! Each reduction is **fused into the phase that produces its operands**
-//! (the kernel writes its strip, then immediately forms the strip partial
-//! — no extra barrier), and the scalar reductions over the per-worker
-//! partials are **replicated**: every worker sums the same partials in
-//! the same order, so all workers reach bitwise-identical α, β and
-//! stopping decisions without a broadcast phase — the sum/max circuit of
-//! the Finite Element Machine, minus the dedicated round trips. The
+//! (the kernel writes its owned rows, then immediately forms the
+//! worker's partial over them — no extra barrier), and the scalar
+//! reductions over the per-worker partials are **replicated**: every
+//! worker sums the same partials in the same order, so all workers reach
+//! bitwise-identical α, β and stopping decisions without a broadcast
+//! phase — the sum/max circuit of the Finite Element Machine, minus the
+//! dedicated round trips. The
 //! partial banks (`dot`, `change`, `rz`) rotate so a fast worker's writes
 //! for phase k+1 can never race a slow worker's reads from phase k.
 //!
@@ -59,11 +63,11 @@
 //! reduction phase** per iteration — three full barriers fewer than
 //! classic, with the reduction latency hidden behind the heaviest phase.
 //! The update phase needs no trailing barrier because everything it
-//! touches is own-strip; the cross-strip reads (`mv` in the trailing
+//! touches is an owned row; the cross-worker reads (`mv` in the trailing
 //! SpMV, the partial banks in the replicated sums) are protected by
 //! rotating banks whose next write is always separated from the last
 //! read by the following iteration's msolve barriers (for plain CG, `m = 0`: `w` itself rotates and one
-//! full barrier per iteration guards the cross-strip `K·w` read). The
+//! full barrier per iteration guards the cross-worker `K·w` read). The
 //! price of the overlap is one speculative heavy phase on the converging
 //! iteration and a different-but-bounded rounding path: the schedule is
 //! bitwise reproducible within the variant, not bitwise identical to
@@ -88,7 +92,7 @@
 //! partials of `VᵀAV`, `AP'ᵀV`, `Vᵀr`, `P'ᵀr` and `(r, r)` all ride the
 //! block's final SpMV phase — then finishes with replicated small dense
 //! work (coupling solve against the previous block, rank-revealing
-//! Cholesky) and `s` own-strip update sub-steps in one mega-phase:
+//! Cholesky) and `s` owned-row update sub-steps in one mega-phase:
 //!
 //! ```text
 //! v₁ ← M⁻¹r; per j = 2…s: SpMV + M⁻¹ + Chebyshev    s·m(2C−1) + 2(s−1) barriers
@@ -104,8 +108,8 @@
 //! stopping scan replays the classic per-iteration `|aⱼ|·‖pⱼ‖∞` test
 //! sub-step by sub-step off the replicated change bank — converging at
 //! iteration granularity, with the already-applied trailing sub-steps
-//! rolled back own-strip. Basis breakdown (a rank-zero Gram factor or
-//! any non-finite reduced scalar) steps down the ladder onto the
+//! rolled back at the owned rows. Basis breakdown (a rank-zero Gram
+//! factor or any non-finite reduced scalar) steps down the ladder onto the
 //! pipelined rung; a rank-*truncated* factor is the endgame (Krylov
 //! grade < s), handled in place by running only the factored leading
 //! sub-steps and restarting the recurrence.
@@ -123,12 +127,12 @@
 //! recurrence seed is folded into the first SpMV (accumulated on the fly
 //! from the msolve input), the `(z, r)` partial and `p⁰` copy into the
 //! last, and the iterate banks alternate between the caller's vector and
-//! one scratch bank so a phase's cross-strip SpMV reads never race the
+//! one scratch bank so a phase's cross-worker SpMV reads never race the
 //! next phase's writes. The exact-formula counter test pins the
 //! resulting schedules: per iteration, classic `k + 3` barriers,
-//! pipelined `k + 1` (the `+1` is the barrier
-//! the cross-strip SpMV input needs where the SSOR sweeps read own-strip
-//! only) with the one split crossing unchanged.
+//! pipelined `k + 1` (the `+1` is the barrier the cross-worker SpMV
+//! input needs where the SSOR sweeps read owned rows only) with the one
+//! split crossing unchanged.
 //! [`ParallelMStepPcg::auto`] picks between sweeps and polynomial via
 //! [`PrecondKind::resolve`] (the barrier-cost heuristic).
 
@@ -136,8 +140,7 @@ use crate::barrier::{SpinBarrier, SplitBarrier};
 use crate::shared::{slot, ScalarBank, SharedVec};
 use mspcg_core::poly::{raw_jacobi_spectrum, safeguard_jacobi_interval};
 use mspcg_core::recovery::{
-    audit_due, diverged, perturb, replacement_bound, FaultKind, FaultPlan, FaultTarget,
-    RecoveryPolicy,
+    audit_due, diverged, perturb, replacement_bound, FaultPlan, FaultTarget, RecoveryPolicy,
 };
 use mspcg_core::PolySchedule;
 use mspcg_sparse::lanczos::{lanczos_extremes, lanczos_extremes_preconditioned, SpectralInterval};
@@ -147,8 +150,8 @@ use std::sync::{Arc, OnceLock};
 /// Options for the threaded solver.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelSolverOptions {
-    /// Worker count (clamped to the problem size; 0 = use all available
-    /// cores, capped at 8).
+    /// Worker count (clamped to the largest color block, so every worker
+    /// owns rows of it; 0 = use all available cores, capped at 8).
     pub threads: usize,
     /// Stopping tolerance on `‖u^{k+1} − uᵏ‖∞` (the paper's test).
     pub tol: f64,
@@ -281,13 +284,13 @@ struct PipelinedVecs<'a> {
     q: &'a SharedVec,
     /// `K·q` carry.
     zz: &'a SharedVec,
-    /// `nv = K·mv` auxiliary (read own-strip only — single bank).
+    /// `nv = K·mv` auxiliary (read at owned rows only — single bank).
     nv: &'a SharedVec,
     /// `w = Kz` carry; bank-rotated for `m = 0` (where the `K·w` SpMV
-    /// reads it cross-strip), single bank `[0]` otherwise.
+    /// reads it cross-worker), single bank `[0]` otherwise.
     w: [&'a SharedVec; 2],
     /// `mv = M⁻¹w` auxiliary, bank-rotated (`m ≥ 1`): the trailing SpMV
-    /// reads it cross-strip.
+    /// reads it cross-worker.
     mv: [&'a SharedVec; 2],
     /// SSOR half-sum cache (own rows only).
     y: &'a SharedVec,
@@ -338,15 +341,109 @@ fn sstep_gram_len(s: usize) -> usize {
     s * (s + 1) / 2 + s * s + 2 * s + 1
 }
 
+/// The rows one SPMD worker owns: its balanced slice of **every** color
+/// block, so each color phase of the sweeps keeps all workers busy — the
+/// executor's version of the paper's §3.2 processor assignment, which
+/// `mspcg_machine::assign` reproduces for the simulated machine. Every
+/// own-row kernel loops over [`Own::ranges`] in ascending order and
+/// accumulates its partials across them.
+struct Own {
+    /// The owned rows as ascending, disjoint ranges, adjacent slices
+    /// merged: one worker owns the single range `0..n`.
+    ranges: Vec<std::ops::Range<usize>>,
+    /// Per color block, this worker's slice of it (possibly empty): the
+    /// rows a color phase of the sweeps writes.
+    blocks: Vec<std::ops::Range<usize>>,
+}
+
+impl Own {
+    /// Each owned range, ascending.
+    fn iter(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.ranges.iter().cloned()
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.ranges.iter().any(|rg| rg.contains(&i))
+    }
+
+    /// `Σ f(range)` over the owned ranges in ascending order; exactly
+    /// `f(0..n)` for a single range, so one worker keeps the arithmetic
+    /// of a whole-vector kernel.
+    fn sum(&self, f: impl FnMut(std::ops::Range<usize>) -> f64) -> f64 {
+        self.iter().map(f).reduce(|a, b| a + b).unwrap_or(0.0)
+    }
+
+    /// `max f(range)` over the owned ranges (the ‖·‖∞ partials).
+    fn max(&self, f: impl FnMut(std::ops::Range<usize>) -> f64) -> f64 {
+        self.iter().map(f).reduce(f64::max).unwrap_or(0.0)
+    }
+
+    /// The worker's partial of `(x, y)`.
+    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        self.sum(|rg| vecops::dot(&x[rg.clone()], &y[rg]))
+    }
+}
+
+/// The ownership layout of `threads` workers: color block `c` of length
+/// `L` is cut into `threads` consecutive slices of `⌈L/T⌉` rows (the
+/// first `L mod T`) and `⌊L/T⌋` rows (the rest), and worker `t` owns
+/// slice `t` of every block.
+fn ownership(colors: &Partition, threads: usize) -> Vec<Own> {
+    let mut owns: Vec<Own> = (0..threads)
+        .map(|_| Own {
+            ranges: Vec::new(),
+            blocks: Vec::with_capacity(colors.num_blocks()),
+        })
+        .collect();
+    for blk in colors.iter() {
+        let (base, extra) = (blk.len() / threads, blk.len() % threads);
+        let mut start = blk.start;
+        for (t, own) in owns.iter_mut().enumerate() {
+            let end = start + base + usize::from(t < extra);
+            own.blocks.push(start..end);
+            match own.ranges.last_mut() {
+                Some(last) if last.end == start => last.end = end,
+                _ if start < end => own.ranges.push(start..end),
+                _ => {}
+            }
+            start = end;
+        }
+    }
+    debug_assert!(
+        rows_owned_once(&owns, colors.total_len()),
+        "ownership layout must cover every row exactly once"
+    );
+    owns
+}
+
+/// Whether every worker's ranges are ascending and nonempty, and all of
+/// them together cover `0..n` exactly once.
+fn rows_owned_once(owns: &[Own], n: usize) -> bool {
+    let ascending = owns.iter().all(|own| {
+        own.ranges.iter().all(|rg| rg.start < rg.end)
+            && own.ranges.windows(2).all(|w| w[0].end < w[1].start)
+    });
+    let mut all: Vec<_> = owns.iter().flat_map(Own::iter).collect();
+    all.sort_by_key(|rg| rg.start);
+    let mut next = 0;
+    for rg in &all {
+        if rg.start != next {
+            return false;
+        }
+        next = rg.end;
+    }
+    ascending && next == n
+}
+
 /// The threaded m-step SSOR PCG solver (ω = 1), constructible from a
 /// color-blocked operator in **any** [`SparseOp`] format.
 ///
 /// Both the SSOR color sweeps (half-sums split at the own-color block) and
-/// the strip `K·p` products need *indexed row structure*, which no
+/// the owned-row `K·p` products need *indexed row structure*, which no
 /// SpMV-oriented format is required to expose — so construction extracts
 /// one private split-CSR sweep table through [`SparseOp::visit_row`] and
 /// every iteration phase streams that single table (the source operator
-/// is not retained: per-worker strips are tiny, so a format's slice/block
+/// is not retained: per-worker row ranges are tiny, so a format's slice/block
 /// kernels could not be engaged anyway, and holding it would double the
 /// matrix memory). The extraction walks rows in ascending column order,
 /// so two formats storing the same matrix produce identical tables and
@@ -588,10 +685,10 @@ impl ParallelMStepPcg {
         self.row_ptr.len() - 1
     }
 
-    /// Serial SpMV over the worker's strip, off the extracted sweep table
+    /// Serial SpMV over one range of rows, off the extracted sweep table
     /// (same per-row ascending-column order as every `SparseOp` kernel).
     #[inline]
-    fn strip_spmv(&self, x: &[f64], y: &mut [f64], rows: std::ops::Range<usize>) {
+    fn spmv_rows(&self, x: &[f64], y: &mut [f64], rows: std::ops::Range<usize>) {
         for (k, i) in rows.enumerate() {
             let mut acc = 0.0;
             for j in self.row_ptr[i]..self.row_ptr[i + 1] {
@@ -601,12 +698,40 @@ impl ParallelMStepPcg {
         }
     }
 
+    /// `out ← K·x` at the owned rows, one range at a time. The SpMV fault
+    /// that `plan` holds for `iteration` lands in its owner's fresh rows,
+    /// and `partial(rows, fresh)` is summed over the ranges
+    /// ([`Own::sum`]) — the fused partial of the phase, which reads only
+    /// rows this worker just wrote. Phase discipline as in
+    /// [`crate::shared`]: `x` was finalized before the last barrier and no
+    /// other worker writes the owned rows of `out` this phase.
+    fn spmv_own(
+        &self,
+        own: &Own,
+        x: &[f64],
+        out: &SharedVec,
+        plan: Option<&FaultPlan>,
+        iteration: usize,
+        mut partial: impl FnMut(std::ops::Range<usize>, &[f64]) -> f64,
+    ) -> f64 {
+        own.sum(|rg| {
+            // SAFETY: the owned rows of `out` have no other writer or
+            // reader this phase (the contract above).
+            let fresh = unsafe { out.write(rg.clone()) };
+            self.spmv_rows(x, fresh, rg.clone());
+            inject_spmv_fault(plan, iteration, &rg, fresh);
+            partial(rg, fresh)
+        })
+    }
+
     fn resolve_threads(&self, requested: usize) -> usize {
         let hw = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
         let t = if requested == 0 { hw.min(8) } else { requested };
-        t.clamp(1, self.dim().max(1))
+        // A worker beyond the largest color block would own no row in
+        // any color phase.
+        t.clamp(1, self.colors.max_block_len().max(1))
     }
 
     /// Solve `K u = f` from the zero initial guess.
@@ -759,19 +884,8 @@ impl ParallelMStepPcg {
             None
         };
 
-        // Contiguous ownership strips.
-        let strips: Vec<std::ops::Range<usize>> = {
-            let base = n / threads;
-            let extra = n % threads;
-            let mut out = Vec::with_capacity(threads);
-            let mut start = 0usize;
-            for t in 0..threads {
-                let len = base + usize::from(t < extra);
-                out.push(start..start + len);
-                start += len;
-            }
-            out
-        };
+        // Worker t owns slice t of every color block.
+        let owns = ownership(&self.colors, threads);
 
         let u = SharedVec::zeros(n);
         let r = SharedVec::from_vec(f.to_vec());
@@ -790,9 +904,9 @@ impl ParallelMStepPcg {
         let mv0 = SharedVec::zeros(if pipelined && !m_zero { n } else { 0 });
         let mv1 = SharedVec::zeros(if pipelined && !m_zero { n } else { 0 });
         let w1 = SharedVec::zeros(if pipelined && m_zero { n } else { 0 });
-        // Polynomial msolve scratch: the difference carry `d` (own-strip
+        // Polynomial msolve scratch: the difference carry `d` (owned rows
         // only) and the second iterate bank `zb` of the two-bank rotation
-        // (read cross-strip by the chained SpMVs). Zero-length for the
+        // (read cross-worker by the chained SpMVs). Zero-length for the
         // sweep and plain-CG configurations.
         let poly_d = SharedVec::zeros(if self.poly.is_some() { n } else { 0 });
         let poly_zb = SharedVec::zeros(if self.poly.is_some() { n } else { 0 });
@@ -868,7 +982,7 @@ impl ParallelMStepPcg {
         };
         std::thread::scope(|s| {
             for t in 0..threads {
-                let strip = strips[t].clone();
+                let own = &owns[t];
                 let (u, r, z, p, kp, y, bank, barrier, iters_out) =
                     (&u, &r, &z, &p, &kp, &y, &bank, &barrier, &iters_out);
                 let (dot_partials, change_partials, rz_partials) =
@@ -877,14 +991,14 @@ impl ParallelMStepPcg {
                 let (aud, dev_partials) = (&aud, &dev_partials);
                 let this = &*self;
                 // `serialized` pins the shared kernels to this worker:
-                // each strip is small by construction, so nested pool
+                // each owned range is small by construction, so nested pool
                 // launches would only add contention.
                 s.spawn(move || {
                     mspcg_sparse::par::serialized(|| {
                         if let Some(interval) = sstep_interval {
                             this.worker_sstep(
                                 t,
-                                strip,
+                                own,
                                 sstep_s,
                                 interval,
                                 sv,
@@ -905,7 +1019,7 @@ impl ParallelMStepPcg {
                         } else if pipelined {
                             this.worker_pipelined(
                                 t,
-                                strip,
+                                own,
                                 pl,
                                 pscr,
                                 f,
@@ -922,7 +1036,7 @@ impl ParallelMStepPcg {
                         } else {
                             this.worker(
                                 t,
-                                strip,
+                                own,
                                 u,
                                 r,
                                 z,
@@ -996,11 +1110,12 @@ impl ParallelMStepPcg {
         }
     }
 
-    /// The SPMD body of the **classic** schedule. All `unsafe` blocks
+    /// The SPMD body of the **classic** schedule, run by worker `t` over
+    /// its rows `own` (its slice of every color block). All `unsafe` blocks
     /// follow the phase discipline documented in [`crate::shared`]: writes
-    /// go only to owned ranges (or owned ∩ color block), reads only touch
-    /// elements finalized before the previous barrier or written by this
-    /// worker in the current phase.
+    /// go only to owned rows (or, in a color phase, the worker's slice of
+    /// that color), reads only touch elements finalized before the
+    /// previous barrier or written by this worker in the current phase.
     ///
     /// Scalar reductions (α, β, the stopping test) are **replicated**:
     /// after the barrier that publishes a partial bank, every worker sums
@@ -1012,7 +1127,7 @@ impl ParallelMStepPcg {
     fn worker(
         &self,
         t: usize,
-        strip: std::ops::Range<usize>,
+        own: &Own,
         u: &SharedVec,
         r: &SharedVec,
         z: &SharedVec,
@@ -1033,7 +1148,6 @@ impl ParallelMStepPcg {
         iters_out: &SharedVec,
         opts: &ParallelSolverOptions,
     ) {
-        let own = strip.clone();
         // Replicated reduction phases consumed so far (worker 0 publishes
         // the count at every exit; the ‖Δu‖∞ flag-network max is not a
         // dot-product phase and is not counted).
@@ -1073,7 +1187,7 @@ impl ParallelMStepPcg {
                     }
                     replacements += 1;
                     $rz = self.reinit_phase(
-                        &own,
+                        own,
                         t,
                         f,
                         u,
@@ -1109,8 +1223,8 @@ impl ParallelMStepPcg {
 
         // --- init: z = M⁻¹ r, with p ← z and the (z, r) partial fused
         // into the preconditioner's final color phase — no extra barriers.
-        self.msolve_phases(&own, t, r, z, y, pscr, Some(p), Some(rz_partials), barrier);
-        self.inject_msolve_fault(plan, 0, &own, z, Some(p), barrier);
+        self.msolve_phases(own, t, r, z, y, pscr, Some(p), Some(rz_partials), barrier);
+        self.inject_msolve_fault(plan, 0, own, z, Some(p), barrier);
         let mut rz: f64 = unsafe { rz_partials.read().iter().sum() };
         phases += 1;
         if !rz.is_finite() {
@@ -1141,7 +1255,7 @@ impl ParallelMStepPcg {
                 && replacements < audit.max_replacements
                 && audit_due(iter, 0, audit.period)
             {
-                let dev2 = self.audit_phase(&own, t, f, u, r, aud, dev_partials, barrier);
+                let dev2 = self.audit_phase(own, t, f, u, r, aud, dev_partials, barrier);
                 audits += 1;
                 // Iterations completed if a guard fires inside the
                 // replacement below (named so the macro's budget test
@@ -1151,7 +1265,7 @@ impl ParallelMStepPcg {
                 if diverged(dev2, audit.bound2) {
                     replacements += 1;
                     rz = self.reinit_phase(
-                        &own,
+                        own,
                         t,
                         f,
                         u,
@@ -1180,17 +1294,14 @@ impl ParallelMStepPcg {
                 }
             }
 
-            // --- kp = K p ⊕ (p, Kp) partial: the strip of kp this worker
-            // just wrote is exactly the strip the partial reads, so the
+            // --- kp = K p ⊕ (p, Kp) partial: the rows of kp this worker
+            // just wrote are exactly the rows the partial reads, so the
             // dot needs no barrier of its own.
             unsafe {
                 let pv = p.read();
-                let out = kp.write(own.clone());
-                self.strip_spmv(pv, out, own.clone());
-                if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, iter, &own) {
-                    out[index - own.start] = perturb(out[index - own.start], kind);
-                }
-                dot_partials.write_at(t, vecops::dot(&pv[own.clone()], out));
+                let pkp =
+                    self.spmv_own(own, pv, kp, plan, iter, |rg, out| vecops::dot(&pv[rg], out));
+                dot_partials.write_at(t, pkp);
             }
             barrier.wait();
 
@@ -1219,16 +1330,13 @@ impl ParallelMStepPcg {
             unsafe {
                 let pv = p.read();
                 let kpv = kp.read();
-                let uo = u.write(own.clone());
-                let ro = r.write(own.clone());
-                let norms = vecops::fused_axpy_axpy_norm(
-                    alpha,
-                    &pv[own.clone()],
-                    &kpv[own.clone()],
-                    uo,
-                    ro,
-                );
-                change_partials.write_at(t, alpha.abs() * norms.p_norm_inf);
+                let p_norm_inf = own.max(|rg| {
+                    let uo = u.write(rg.clone());
+                    let ro = r.write(rg.clone());
+                    vecops::fused_axpy_axpy_norm(alpha, &pv[rg.clone()], &kpv[rg], uo, ro)
+                        .p_norm_inf
+                });
+                change_partials.write_at(t, alpha.abs() * p_norm_inf);
             }
             barrier.wait();
 
@@ -1251,8 +1359,8 @@ impl ParallelMStepPcg {
             }
 
             // --- z = M⁻¹ r, (z, r) partial fused into the final phase --------
-            self.msolve_phases(&own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
-            self.inject_msolve_fault(plan, iter, &own, z, None, barrier);
+            self.msolve_phases(own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
+            self.inject_msolve_fault(plan, iter, own, z, None, barrier);
 
             // --- β (replicated) ---------------------------------------------
             let rz_new: f64 = unsafe { rz_partials.read().iter().sum() };
@@ -1271,8 +1379,9 @@ impl ParallelMStepPcg {
             // --- p = z + βp (shared xpby kernel) -----------------------------
             unsafe {
                 let zv = z.read();
-                let po = p.write(own.clone());
-                vecops::xpby(&zv[own.clone()], beta, po);
+                for rg in own.iter() {
+                    vecops::xpby(&zv[rg.clone()], beta, p.write(rg));
+                }
             }
             barrier.wait();
         }
@@ -1288,7 +1397,7 @@ impl ParallelMStepPcg {
     /// ```text
     /// v₁ ← M⁻¹r                               sweep barriers
     /// per j = 2…s:
-    ///   A·v_{j−1} ← K·v_{j−1}                 1 barrier   (cross-strip read)
+    ///   A·v_{j−1} ← K·v_{j−1}                 1 barrier   (cross-worker read)
     ///   t ← M⁻¹(A·v_{j−1})                    sweep barriers
     ///   vⱼ ← Chebyshev(t, v_{j−1}, v_{j−2})   1 barrier
     /// A·v_s ← K·v_s ⊕ ALL Gram partials       1 barrier   (THE reduction)
@@ -1316,12 +1425,12 @@ impl ParallelMStepPcg {
     /// non-finite scalar step down the ladder via FALLBACK (reruns are
     /// from scratch, so no rollback is needed — except on mid-block
     /// *convergence*, where the already applied trailing sub-steps are
-    /// undone own-strip so the reported iterate is the accepted one).
+    /// undone at the owned rows so the reported iterate is the accepted one).
     #[allow(clippy::too_many_arguments)]
     fn worker_sstep(
         &self,
         t: usize,
-        strip: std::ops::Range<usize>,
+        own: &Own,
         s: usize,
         interval: SpectralInterval,
         sv: &SStepVecs,
@@ -1339,7 +1448,6 @@ impl ParallelMStepPcg {
         iters_out: &SharedVec,
         opts: &ParallelSolverOptions,
     ) {
-        let own = strip.clone();
         let m_zero = self.no_msolve();
         let threads = sv.change.len() / s;
         let glen = sstep_gram_len(s);
@@ -1399,7 +1507,7 @@ impl ParallelMStepPcg {
             if audit.enabled
                 && (completed + 1..=completed + s).any(|i| audit_due(i, 0, audit.period))
             {
-                let dev2 = self.audit_phase(&own, t, f, u, r, aud, dev_partials, barrier);
+                let dev2 = self.audit_phase(own, t, f, u, r, aud, dev_partials, barrier);
                 audits += 1;
                 if diverged(dev2, audit.bound2) {
                     finish(status::FALLBACK, completed, change, phases, audits, faults);
@@ -1421,63 +1529,49 @@ impl ParallelMStepPcg {
             // recurrence (planned faults land per sub-step index:
             // msolve j at iteration completed + j, SpMV j likewise).
             if !m_zero {
-                self.msolve_phases(&own, t, r, &sv.v[0], y, pscr, None, None, barrier);
-                self.inject_msolve_fault(plan, completed, &own, &sv.v[0], None, barrier);
+                self.msolve_phases(own, t, r, &sv.v[0], y, pscr, None, None, barrier);
+                self.inject_msolve_fault(plan, completed, own, &sv.v[0], None, barrier);
             }
+            // vⱼ ← Chebyshev(t, vⱼ₋₁, vⱼ₋₂) over one owned range (a
+            // collapsed interval falls back to the scaled monomial
+            // vⱼ = t/θ). SAFETY: the earlier basis columns were finalized
+            // by earlier barriers, and only this worker writes its rows
+            // of vⱼ.
+            let cheb = |j: usize, tv: &[f64], rg: std::ops::Range<usize>| unsafe {
+                let vp = &vjs[j - 1].read()[rg.clone()];
+                let tv = &tv[rg.clone()];
+                let vj_out = sv.v[j].write(rg.clone());
+                if degenerate {
+                    vecops::fused_cheb_basis(1.0 / theta, 0.0, 0.0, tv, vp, vp, vj_out);
+                } else if j == 1 {
+                    vecops::fused_cheb_basis(1.0 / delta, theta, 0.0, tv, vp, vp, vj_out);
+                } else {
+                    let vpp = &vjs[j - 2].read()[rg];
+                    vecops::fused_cheb_basis(2.0 / delta, theta, 1.0, tv, vp, vpp, vj_out);
+                }
+            };
             for j in 1..s {
                 unsafe {
                     let vin = vjs[j - 1].read();
-                    let out = sv.av[j - 1].write(own.clone());
-                    self.strip_spmv(vin, out, own.clone());
-                    if let Some((index, kind)) =
-                        claim_fault(plan, FaultTarget::Spmv, completed + j - 1, &own)
-                    {
-                        out[index - own.start] = perturb(out[index - own.start], kind);
-                    }
+                    self.spmv_own(own, vin, &sv.av[j - 1], plan, completed + j - 1, |_, _| 0.0);
                     if m_zero {
-                        // M = I: t ≡ A·v_{j−1}, freshly written own-strip
-                        // above — the Chebyshev step fuses into this
-                        // phase (all operands own-strip).
-                        let vp = &vin[own.clone()];
-                        let vj_out = sv.v[j].write(own.clone());
-                        if degenerate {
-                            vecops::fused_cheb_basis(1.0 / theta, 0.0, 0.0, out, vp, vp, vj_out);
-                        } else if j == 1 {
-                            vecops::fused_cheb_basis(1.0 / delta, theta, 0.0, out, vp, vp, vj_out);
-                        } else {
-                            let vpp = &vjs[j - 2].read()[own.clone()];
-                            vecops::fused_cheb_basis(2.0 / delta, theta, 1.0, out, vp, vpp, vj_out);
+                        // M = I: t ≡ A·v_{j−1}, freshly written at the
+                        // owned rows above — the Chebyshev step fuses
+                        // into this phase (all operands owned rows).
+                        let tv = sv.av[j - 1].read();
+                        for rg in own.iter() {
+                            cheb(j, tv, rg);
                         }
                     }
                 }
                 barrier.wait();
                 if !m_zero {
-                    self.msolve_phases(
-                        &own,
-                        t,
-                        &sv.av[j - 1],
-                        &sv.tv,
-                        y,
-                        pscr,
-                        None,
-                        None,
-                        barrier,
-                    );
-                    self.inject_msolve_fault(plan, completed + j, &own, &sv.tv, None, barrier);
-                    unsafe {
-                        let tvo = &sv.tv.read()[own.clone()];
-                        let vp = &sv.v[j - 1].read()[own.clone()];
-                        let vj_out = sv.v[j].write(own.clone());
-                        if degenerate {
-                            // Collapsed interval: scaled-monomial
-                            // fallback vⱼ = t/θ.
-                            vecops::fused_cheb_basis(1.0 / theta, 0.0, 0.0, tvo, vp, vp, vj_out);
-                        } else if j == 1 {
-                            vecops::fused_cheb_basis(1.0 / delta, theta, 0.0, tvo, vp, vp, vj_out);
-                        } else {
-                            let vpp = &sv.v[j - 2].read()[own.clone()];
-                            vecops::fused_cheb_basis(2.0 / delta, theta, 1.0, tvo, vp, vpp, vj_out);
-                        }
+                    self.msolve_phases(own, t, &sv.av[j - 1], &sv.tv, y, pscr, None, None, barrier);
+                    self.inject_msolve_fault(plan, completed + j, own, &sv.tv, None, barrier);
+                    // SAFETY: t was finalized by the msolve's last barrier.
+                    let tv = unsafe { sv.tv.read() };
+                    for rg in own.iter() {
+                        cheb(j, tv, rg);
                     }
                     barrier.wait();
                 }
@@ -1485,44 +1579,38 @@ impl ParallelMStepPcg {
 
             // --- final SpMV completes A·V ⊕ ALL Gram partials ride this
             // phase — THE one reduction of the block. Every operand of
-            // every partial is own-strip: A·V columns were written by
+            // every partial is an owned row: A·V columns were written by
             // this worker in this block's SpMV phases, V/P'/AP'/r were
             // finalized by earlier barriers.
             unsafe {
                 let vin = vjs[s - 1].read();
-                let out = sv.av[s - 1].write(own.clone());
-                self.strip_spmv(vin, out, own.clone());
-                if let Some((index, kind)) =
-                    claim_fault(plan, FaultTarget::Spmv, completed + s - 1, &own)
-                {
-                    out[index - own.start] = perturb(out[index - own.start], kind);
-                }
+                self.spmv_own(own, vin, &sv.av[s - 1], plan, completed + s - 1, |_, _| 0.0);
                 let g = sv.gram.write(t * glen..(t + 1) * glen);
                 let mut gi = 0usize;
                 for i in 0..s {
-                    let avi = &sv.av[i].read()[own.clone()];
+                    let avi = sv.av[i].read();
                     for j in 0..=i {
-                        g[gi] = vecops::dot(&vjs[j].read()[own.clone()], avi);
+                        g[gi] = own.dot(vjs[j].read(), avi);
                         gi += 1;
                     }
                 }
                 for i in 0..s {
-                    let api = &ap_prev[i].read()[own.clone()];
+                    let api = ap_prev[i].read();
                     for j in 0..s {
-                        g[gi] = vecops::dot(api, &vjs[j].read()[own.clone()]);
+                        g[gi] = own.dot(api, vjs[j].read());
                         gi += 1;
                     }
                 }
-                let rv = &r.read()[own.clone()];
+                let rv = r.read();
                 for j in 0..s {
-                    g[gi] = vecops::dot(&vjs[j].read()[own.clone()], rv);
+                    g[gi] = own.dot(vjs[j].read(), rv);
                     gi += 1;
                 }
                 for j in 0..s {
-                    g[gi] = vecops::dot(&p_prev[j].read()[own.clone()], rv);
+                    g[gi] = own.dot(p_prev[j].read(), rv);
                     gi += 1;
                 }
-                g[gi] = vecops::dot(rv, rv);
+                g[gi] = own.dot(rv, rv);
             }
             barrier.wait();
 
@@ -1636,34 +1724,33 @@ impl ParallelMStepPcg {
 
             // --- update mega-phase: P = V + P'B, AP = AV + AP'B, then
             // the `cols` local sub-steps on the classic fused update
-            // kernel — all own-strip, ONE barrier. The per-sub-step
+            // kernel — all owned rows, ONE barrier. The per-sub-step
             // displacement partials ride the kernel itself.
             unsafe {
-                for j in 0..s {
-                    let po = p_cur[j].write(own.clone());
-                    po.copy_from_slice(&vjs[j].read()[own.clone()]);
-                    for i in 0..s {
-                        vecops::axpy(bmat[i * s + j], &p_prev[i].read()[own.clone()], po);
-                    }
-                    let apo = ap_cur[j].write(own.clone());
-                    apo.copy_from_slice(&sv.av[j].read()[own.clone()]);
-                    for i in 0..s {
-                        vecops::axpy(bmat[i * s + j], &ap_prev[i].read()[own.clone()], apo);
+                for rg in own.iter() {
+                    for j in 0..s {
+                        let po = p_cur[j].write(rg.clone());
+                        po.copy_from_slice(&vjs[j].read()[rg.clone()]);
+                        for i in 0..s {
+                            vecops::axpy(bmat[i * s + j], &p_prev[i].read()[rg.clone()], po);
+                        }
+                        let apo = ap_cur[j].write(rg.clone());
+                        apo.copy_from_slice(&sv.av[j].read()[rg.clone()]);
+                        for i in 0..s {
+                            vecops::axpy(bmat[i * s + j], &ap_prev[i].read()[rg.clone()], apo);
+                        }
                     }
                 }
                 for j in 0..cols {
                     let alpha = acoef[j];
-                    let uo = u.write(own.clone());
-                    let ro = r.write(own.clone());
-                    let norms = vecops::fused_axpy_axpy_norm(
-                        alpha,
-                        &p_cur[j].read()[own.clone()],
-                        &ap_cur[j].read()[own.clone()],
-                        uo,
-                        ro,
-                    );
-                    sv.change
-                        .write_at(t * s + j, alpha.abs() * norms.p_norm_inf);
+                    let (pj, apj) = (p_cur[j].read(), ap_cur[j].read());
+                    let p_norm_inf = own.max(|rg| {
+                        let uo = u.write(rg.clone());
+                        let ro = r.write(rg.clone());
+                        vecops::fused_axpy_axpy_norm(alpha, &pj[rg.clone()], &apj[rg], uo, ro)
+                            .p_norm_inf
+                    });
+                    sv.change.write_at(t * s + j, alpha.abs() * p_norm_inf);
                 }
             }
             barrier.wait();
@@ -1690,18 +1777,20 @@ impl ParallelMStepPcg {
                 change = cj;
                 if cj < opts.tol {
                     // Converged mid-block: the trailing sub-steps were
-                    // already applied — undo them own-strip so the
-                    // reported iterate is the accepted one (the scan is
-                    // replicated, so the rollback is unanimous; no
-                    // barrier needed — only own strips are touched and
+                    // already applied — undo them at the owned rows so
+                    // the reported iterate is the accepted one (the scan
+                    // is replicated, so the rollback is unanimous; no
+                    // barrier needed — only owned rows are touched and
                     // the scope join publishes them).
                     unsafe {
-                        let uo = u.write(own.clone());
-                        for jj in j + 1..cols {
-                            let alpha = acoef[jj];
-                            let pj = &p_cur[jj].read()[own.clone()];
-                            for (k, pk) in pj.iter().enumerate() {
-                                uo[k] -= alpha * pk;
+                        for rg in own.iter() {
+                            let uo = u.write(rg.clone());
+                            for jj in j + 1..cols {
+                                let alpha = acoef[jj];
+                                let pj = &p_cur[jj].read()[rg.clone()];
+                                for (k, pk) in pj.iter().enumerate() {
+                                    uo[k] -= alpha * pk;
+                                }
                             }
                         }
                     }
@@ -1739,24 +1828,23 @@ impl ParallelMStepPcg {
     /// reduction latency hides behind the heaviest work of the iteration.
     ///
     /// Why no full barrier borders the update phase (`m ≥ 1`): every
-    /// vector the update touches is read and written **own-strip only**,
-    /// and the msolve that follows reads its input `w` at own rows only —
-    /// the only cross-strip reads anywhere are of the msolve's *output*
+    /// vector the update touches is read and written **at owned rows
+    /// only**, and the msolve that follows reads its input `w` at own rows only —
+    /// the only cross-worker reads anywhere are of the msolve's *output*
     /// (ordered by its internal color barriers, with the fused `w₀ = 0`
     /// start guaranteeing no stale element is ever read) and of the `mv`
     /// bank in the trailing SpMV, which is why `mv` (and the reduction
     /// partial banks) **rotate by iteration parity**: the next write of a
-    /// bank is separated from its last cross-strip read by the following
+    /// bank is separated from its last cross-worker read by the following
     /// iteration's msolve barriers. For plain CG (`m = 0`, `z ≡ r`,
     /// `q ≡ s`, `mv ≡ w`) the SpMV input is `w` itself, so `w` rotates
     /// instead and one full barrier per iteration separates the w-bank
-    /// write from the cross-strip `K·w` read.
-    #[allow(clippy::too_many_arguments)]
+    /// write from the cross-worker `K·w` read.
     #[allow(clippy::too_many_arguments)]
     fn worker_pipelined(
         &self,
         t: usize,
-        strip: std::ops::Range<usize>,
+        own: &Own,
         vecs: &PipelinedVecs<'_>,
         pscr: &PolyScratch<'_>,
         f: &[f64],
@@ -1770,7 +1858,6 @@ impl ParallelMStepPcg {
         iters_out: &SharedVec,
         opts: &ParallelSolverOptions,
     ) {
-        let own = strip;
         let m_zero = self.no_msolve();
         let mut phases = 0usize;
         let mut audits = 0usize;
@@ -1802,7 +1889,7 @@ impl ParallelMStepPcg {
         // arrive → mv⁰ = M⁻¹ w⁰, nv⁰ = K mv⁰ → wait.
         if !m_zero {
             self.msolve_phases(
-                &own,
+                own,
                 t,
                 vecs.r,
                 vecs.z,
@@ -1812,56 +1899,47 @@ impl ParallelMStepPcg {
                 Some(vecs.gamma[0]),
                 barrier,
             );
-            self.inject_msolve_fault(plan, 0, &own, vecs.z, None, barrier);
+            self.inject_msolve_fault(plan, 0, own, vecs.z, None, barrier);
             // z⁰ was finalized by the msolve's last internal barrier.
             unsafe {
                 let zv = vecs.z.read();
-                let out = vecs.w[0].write(own.clone());
-                self.strip_spmv(zv, out, own.clone());
-                if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, 0, &own) {
-                    out[index - own.start] = perturb(out[index - own.start], kind);
-                }
-                vecs.delta[0].write_at(t, vecops::dot(&zv[own.clone()], out));
+                let del = self.spmv_own(own, zv, vecs.w[0], plan, 0, |rg, out| {
+                    vecops::dot(&zv[rg], out)
+                });
+                vecs.delta[0].write_at(t, del);
             }
             let ticket = split.arrive();
             // The sweep msolve reads its input w⁰ at own rows only — no
             // barrier. The polynomial msolve's fused first phase reads w⁰
-            // cross-strip, so it needs w⁰ finalized: one extra barrier.
+            // cross-worker, so it needs w⁰ finalized: one extra barrier.
             // The auxiliary mv⁰ is not a fault target: the planned msolve
             // fault at iteration 0 lands in z⁰ above.
             if self.poly.is_some() {
                 barrier.wait();
             }
             self.msolve_phases(
-                &own, t, vecs.w[0], vecs.mv[0], vecs.y, pscr, None, None, barrier,
+                own, t, vecs.w[0], vecs.mv[0], vecs.y, pscr, None, None, barrier,
             );
-            unsafe {
-                let mvv = vecs.mv[0].read();
-                let out = vecs.nv.write(own.clone());
-                self.strip_spmv(mvv, out, own.clone());
-            }
+            // SAFETY: mv⁰ was finalized by the msolve's last barrier.
+            let mvv = unsafe { vecs.mv[0].read() };
+            self.spmv_own(own, mvv, vecs.nv, None, 0, |_, _| 0.0);
             split.wait(ticket);
         } else {
             // z ≡ r = f (read-only so far): w⁰ = K f ⊕ both partials.
             unsafe {
                 let rv = vecs.r.read();
-                let out = vecs.w[0].write(own.clone());
-                self.strip_spmv(rv, out, own.clone());
-                if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, 0, &own) {
-                    out[index - own.start] = perturb(out[index - own.start], kind);
-                }
-                let rs = &rv[own.clone()];
-                vecs.gamma[0].write_at(t, vecops::dot(rs, rs));
-                vecs.delta[0].write_at(t, vecops::dot(rs, out));
+                let del = self.spmv_own(own, rv, vecs.w[0], plan, 0, |rg, out| {
+                    vecops::dot(&rv[rg], out)
+                });
+                vecs.gamma[0].write_at(t, own.dot(rv, rv));
+                vecs.delta[0].write_at(t, del);
             }
             let ticket = split.arrive();
-            // nv⁰ = K w⁰ reads w⁰ cross-strip: one full barrier.
+            // nv⁰ = K w⁰ reads w⁰ at other workers' rows: one full barrier.
             barrier.wait();
-            unsafe {
-                let wv = vecs.w[0].read();
-                let out = vecs.nv.write(own.clone());
-                self.strip_spmv(wv, out, own.clone());
-            }
+            // SAFETY: w⁰ was finalized by the barrier above.
+            let wv = unsafe { vecs.w[0].read() };
+            self.spmv_own(own, wv, vecs.nv, None, 0, |_, _| 0.0);
             split.wait(ticket);
         }
 
@@ -1900,7 +1978,7 @@ impl ParallelMStepPcg {
             // fall a rung down on divergence — the pipelined recurrences
             // carry too much coupled state to splice a replacement in.
             if audit.enabled && audit_due(iter, 0, audit.period) {
-                let dev2 = self.audit_phase(&own, t, f, vecs.u, vecs.r, aud, dev_partials, barrier);
+                let dev2 = self.audit_phase(own, t, f, vecs.u, vecs.r, aud, dev_partials, barrier);
                 audits += 1;
                 if diverged(dev2, audit.bound2) {
                     finish(status::FALLBACK, iter - 1, 0.0, phases, audits, faults);
@@ -1916,78 +1994,81 @@ impl ParallelMStepPcg {
             let pk = iter & 1;
             let prev = pk ^ 1;
 
-            // --- fused update mega-phase (own strip only): the four
+            // --- fused update mega-phase (owned rows only): the four
             // direction carries, the four iterate/carry updates, and all
-            // four reduction partials in ONE traversal — then arrive.
+            // four reduction partials in ONE traversal of the owned
+            // ranges (the partials accumulate across them) — then arrive.
             unsafe {
                 let mut max_p = 0.0f64;
                 let mut ps = 0.0f64;
                 let mut gam = 0.0f64;
                 let mut del = 0.0f64;
-                if m_zero {
-                    let w_old = &vecs.w[prev].read()[own.clone()];
-                    let nvv = &vecs.nv.read()[own.clone()];
-                    let pv = vecs.p.write(own.clone());
-                    let sv = vecs.s.write(own.clone());
-                    let zzv = vecs.zz.write(own.clone());
-                    let uv = vecs.u.write(own.clone());
-                    let rv = vecs.r.write(own.clone());
-                    let w_new = vecs.w[pk].write(own.clone());
-                    for i in 0..own.len() {
-                        let ri_old = rv[i];
-                        let pi = ri_old + beta * pv[i];
-                        let si = w_old[i] + beta * sv[i];
-                        let zzi = nvv[i] + beta * zzv[i];
-                        pv[i] = pi;
-                        sv[i] = si;
-                        zzv[i] = zzi;
-                        uv[i] += alpha * pi;
-                        let ri = ri_old - alpha * si;
-                        rv[i] = ri;
-                        let wi = w_old[i] - alpha * zzi;
-                        w_new[i] = wi;
-                        let a = pi.abs();
-                        if a > max_p {
-                            max_p = a;
+                for rg in own.iter() {
+                    if m_zero {
+                        let w_old = &vecs.w[prev].read()[rg.clone()];
+                        let nvv = &vecs.nv.read()[rg.clone()];
+                        let pv = vecs.p.write(rg.clone());
+                        let sv = vecs.s.write(rg.clone());
+                        let zzv = vecs.zz.write(rg.clone());
+                        let uv = vecs.u.write(rg.clone());
+                        let rv = vecs.r.write(rg.clone());
+                        let w_new = vecs.w[pk].write(rg.clone());
+                        for i in 0..rg.len() {
+                            let ri_old = rv[i];
+                            let pi = ri_old + beta * pv[i];
+                            let si = w_old[i] + beta * sv[i];
+                            let zzi = nvv[i] + beta * zzv[i];
+                            pv[i] = pi;
+                            sv[i] = si;
+                            zzv[i] = zzi;
+                            uv[i] += alpha * pi;
+                            let ri = ri_old - alpha * si;
+                            rv[i] = ri;
+                            let wi = w_old[i] - alpha * zzi;
+                            w_new[i] = wi;
+                            let a = pi.abs();
+                            if a > max_p {
+                                max_p = a;
+                            }
+                            ps += pi * si;
+                            gam += ri * ri;
+                            del += wi * ri;
                         }
-                        ps += pi * si;
-                        gam += ri * ri;
-                        del += wi * ri;
-                    }
-                } else {
-                    let mvv = &vecs.mv[prev].read()[own.clone()];
-                    let nvv = &vecs.nv.read()[own.clone()];
-                    let pv = vecs.p.write(own.clone());
-                    let sv = vecs.s.write(own.clone());
-                    let qv = vecs.q.write(own.clone());
-                    let zzv = vecs.zz.write(own.clone());
-                    let uv = vecs.u.write(own.clone());
-                    let rv = vecs.r.write(own.clone());
-                    let zv = vecs.z.write(own.clone());
-                    let wv = vecs.w[0].write(own.clone());
-                    for i in 0..own.len() {
-                        let pi = zv[i] + beta * pv[i];
-                        let si = wv[i] + beta * sv[i];
-                        let qi = mvv[i] + beta * qv[i];
-                        let zzi = nvv[i] + beta * zzv[i];
-                        pv[i] = pi;
-                        sv[i] = si;
-                        qv[i] = qi;
-                        zzv[i] = zzi;
-                        uv[i] += alpha * pi;
-                        let ri = rv[i] - alpha * si;
-                        rv[i] = ri;
-                        let zi = zv[i] - alpha * qi;
-                        zv[i] = zi;
-                        let wi = wv[i] - alpha * zzi;
-                        wv[i] = wi;
-                        let a = pi.abs();
-                        if a > max_p {
-                            max_p = a;
+                    } else {
+                        let mvv = &vecs.mv[prev].read()[rg.clone()];
+                        let nvv = &vecs.nv.read()[rg.clone()];
+                        let pv = vecs.p.write(rg.clone());
+                        let sv = vecs.s.write(rg.clone());
+                        let qv = vecs.q.write(rg.clone());
+                        let zzv = vecs.zz.write(rg.clone());
+                        let uv = vecs.u.write(rg.clone());
+                        let rv = vecs.r.write(rg.clone());
+                        let zv = vecs.z.write(rg.clone());
+                        let wv = vecs.w[0].write(rg.clone());
+                        for i in 0..rg.len() {
+                            let pi = zv[i] + beta * pv[i];
+                            let si = wv[i] + beta * sv[i];
+                            let qi = mvv[i] + beta * qv[i];
+                            let zzi = nvv[i] + beta * zzv[i];
+                            pv[i] = pi;
+                            sv[i] = si;
+                            qv[i] = qi;
+                            zzv[i] = zzi;
+                            uv[i] += alpha * pi;
+                            let ri = rv[i] - alpha * si;
+                            rv[i] = ri;
+                            let zi = zv[i] - alpha * qi;
+                            zv[i] = zi;
+                            let wi = wv[i] - alpha * zzi;
+                            wv[i] = wi;
+                            let a = pi.abs();
+                            if a > max_p {
+                                max_p = a;
+                            }
+                            ps += pi * si;
+                            gam += ri * zi;
+                            del += wi * zi;
                         }
-                        ps += pi * si;
-                        gam += ri * zi;
-                        del += wi * zi;
                     }
                 }
                 vecs.change[pk].write_at(t, alpha.abs() * max_p);
@@ -2001,28 +2082,24 @@ impl ParallelMStepPcg {
             // Fault points: the planned msolve fault perturbs mv (the
             // iteration's preconditioner application) behind its final
             // barrier; the planned SpMV fault perturbs the owner's fresh
-            // nv strip, which only the owner reads before the next parity
+            // nv rows, which only the owner reads before the next parity
             // rotation — no extra barrier.
             if m_zero {
-                // mv ≡ w: the K·w SpMV reads w cross-strip — one barrier.
+                // mv ≡ w: the K·w SpMV reads w at other workers' rows —
+                // one barrier.
                 barrier.wait();
-                unsafe {
-                    let wv = vecs.w[pk].read();
-                    let out = vecs.nv.write(own.clone());
-                    self.strip_spmv(wv, out, own.clone());
-                    if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, iter, &own) {
-                        out[index - own.start] = perturb(out[index - own.start], kind);
-                    }
-                }
+                // SAFETY: the w bank was finalized by the barrier above.
+                let wv = unsafe { vecs.w[pk].read() };
+                self.spmv_own(own, wv, vecs.nv, plan, iter, |_, _| 0.0);
             } else {
                 // The polynomial msolve's fused first phase reads its
-                // input w cross-strip (the sweep reads own-strip): one
-                // extra barrier after the own-strip update above.
+                // input w at other workers' rows (the sweep reads owned
+                // rows only): one extra barrier after the update above.
                 if self.poly.is_some() {
                     barrier.wait();
                 }
                 self.msolve_phases(
-                    &own,
+                    own,
                     t,
                     vecs.w[0],
                     vecs.mv[pk],
@@ -2032,15 +2109,11 @@ impl ParallelMStepPcg {
                     None,
                     barrier,
                 );
-                self.inject_msolve_fault(plan, iter, &own, vecs.mv[pk], None, barrier);
-                unsafe {
-                    let mvv = vecs.mv[pk].read();
-                    let out = vecs.nv.write(own.clone());
-                    self.strip_spmv(mvv, out, own.clone());
-                    if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, iter, &own) {
-                        out[index - own.start] = perturb(out[index - own.start], kind);
-                    }
-                }
+                self.inject_msolve_fault(plan, iter, own, vecs.mv[pk], None, barrier);
+                // SAFETY: the mv bank was finalized by the msolve's last
+                // barrier (or the fault injection's).
+                let mvv = unsafe { vecs.mv[pk].read() };
+                self.spmv_own(own, mvv, vecs.nv, plan, iter, |_, _| 0.0);
             }
             split.wait(ticket);
 
@@ -2095,19 +2168,19 @@ impl ParallelMStepPcg {
     /// The classic schedule's restart phase, shared by the audit-replace
     /// and non-finite recovery paths: refresh `r` to the true residual —
     /// adopting the audited copy when one is on hand (`fresh`), else
-    /// recomputing `r ← f − K·u` over the strip — then re-derive
+    /// recomputing `r ← f − K·u` at the owned rows — then re-derive
     /// `z = M⁻¹r`, `p ← z` and the `(z, r)` partial exactly like the init
     /// sequence, returning the replicated fresh scalar.
     ///
     /// No barrier precedes the `r` overwrite: every entry point has just
     /// consumed a replicated scalar (all workers are past its publishing
-    /// barrier), and the classic schedule never reads `r` cross-strip.
-    /// The polynomial msolve *does* read `r` cross-strip in its fused
-    /// first phase, so one extra barrier separates the overwrite from it.
+    /// barrier), and the classic schedule never reads `r` at other
+    /// workers' rows. The polynomial msolve *does* in its fused first
+    /// phase, so one extra barrier separates the overwrite from it.
     #[allow(clippy::too_many_arguments)]
     fn reinit_phase(
         &self,
-        own: &std::ops::Range<usize>,
+        own: &Own,
         t: usize,
         f: &[f64],
         u: &SharedVec,
@@ -2120,18 +2193,20 @@ impl ParallelMStepPcg {
         barrier: &SpinBarrier,
         fresh: Option<&SharedVec>,
     ) -> f64 {
-        unsafe {
-            match fresh {
-                Some(aud) => {
-                    let av = aud.read();
-                    r.write(own.clone()).copy_from_slice(&av[own.clone()]);
-                }
-                None => {
-                    let uv = u.read();
-                    let ro = r.write(own.clone());
-                    self.strip_spmv(uv, ro, own.clone());
-                    for (k, i) in own.clone().enumerate() {
-                        ro[k] = f[i] - ro[k];
+        for rg in own.iter() {
+            unsafe {
+                match fresh {
+                    Some(aud) => {
+                        let av = aud.read();
+                        r.write(rg.clone()).copy_from_slice(&av[rg]);
+                    }
+                    None => {
+                        let uv = u.read();
+                        let ro = r.write(rg.clone());
+                        self.spmv_rows(uv, ro, rg.clone());
+                        for (k, i) in rg.enumerate() {
+                            ro[k] = f[i] - ro[k];
+                        }
                     }
                 }
             }
@@ -2144,16 +2219,16 @@ impl ParallelMStepPcg {
     }
 
     /// The fused audit phase shared by every schedule: `aud ← f − K·u`
-    /// over the strip ⊕ the squared-deviation partial against the
+    /// at the owned rows ⊕ the squared-deviation partial against the
     /// recurrence carry `r` — one barrier — then the replicated deviation
     /// sum. `u` and `r` were finalized by the previous iteration's
-    /// barriers; `aud` and the partial bank are only ever read own-strip
-    /// before the next audit, which is at least a period of barriers
+    /// barriers; `aud` and the partial bank are only ever read at owned
+    /// rows before the next audit, which is at least a period of barriers
     /// away.
     #[allow(clippy::too_many_arguments)]
     fn audit_phase(
         &self,
-        own: &std::ops::Range<usize>,
+        own: &Own,
         t: usize,
         f: &[f64],
         u: &SharedVec,
@@ -2164,15 +2239,17 @@ impl ParallelMStepPcg {
     ) -> f64 {
         unsafe {
             let uv = u.read();
-            let out = aud.write(own.clone());
-            self.strip_spmv(uv, out, own.clone());
             let rv = r.read();
             let mut dev2 = 0.0;
-            for (k, i) in own.clone().enumerate() {
-                let rt = f[i] - out[k];
-                out[k] = rt;
-                let d = rt - rv[i];
-                dev2 += d * d;
+            for rg in own.iter() {
+                let out = aud.write(rg.clone());
+                self.spmv_rows(uv, out, rg.clone());
+                for (k, i) in rg.enumerate() {
+                    let rt = f[i] - out[k];
+                    out[k] = rt;
+                    let d = rt - rv[i];
+                    dev2 += d * d;
+                }
             }
             dev_partials.write_at(t, dev2);
         }
@@ -2184,20 +2261,20 @@ impl ParallelMStepPcg {
     /// final barrier: the owner of `index` perturbs the output (and the
     /// initialized `p⁰` copy, when given — the init fuses `p ← z` into
     /// the sweep, so the fault must land in both). Because the next phase
-    /// may read the output cross-strip, every worker crosses one extra
+    /// may read the output at other workers' rows, every worker crosses one extra
     /// barrier on fault iterations — the lookup is replicated, so the
     /// decision is unanimous and the crossing count stays in lockstep.
     fn inject_msolve_fault(
         &self,
         plan: Option<&FaultPlan>,
         iteration: usize,
-        own: &std::ops::Range<usize>,
+        own: &Own,
         z: &SharedVec,
         p0: Option<&SharedVec>,
         barrier: &SpinBarrier,
     ) {
         if let Some(fault) = plan.and_then(|pl| pl.find(FaultTarget::Msolve, iteration)) {
-            if own.contains(&fault.index) {
+            if own.contains(fault.index) {
                 unsafe {
                     let v = perturb(z.read()[fault.index], fault.kind);
                     z.write_at(fault.index, v);
@@ -2219,16 +2296,19 @@ impl ParallelMStepPcg {
     ///   the old zero-fill phase and its barrier are gone), exactly like
     ///   the sequential `MulticolorSsor::forward_first`;
     /// * the **final color phase** additionally forms this worker's
-    ///   `(z, r)` strip partial when a bank is supplied (`rz_partials =
-    ///   Some`; the pipelined schedule's auxiliary solves pass `None`) —
-    ///   every `z` element of the strip was written by this worker in
-    ///   this or an earlier phase of the solve, so the partial needs no
-    ///   extra barrier — and, during initialization (`p0 = Some`), copies
-    ///   the strip into `p⁰`.
+    ///   `(z, r)` partial when a bank is supplied (`rz_partials = Some`;
+    ///   the pipelined schedule's auxiliary solves pass `None`) — every
+    ///   owned `z` element was written by this worker in this or an
+    ///   earlier phase of the solve, so the partial needs no extra
+    ///   barrier — and, during initialization (`p0 = Some`), copies the
+    ///   owned rows into `p⁰`.
+    ///
+    /// A color phase writes the worker's slice of that color
+    /// ([`Own::blocks`]), so every worker sweeps in every phase.
     #[allow(clippy::too_many_arguments)]
     fn msolve_phases(
         &self,
-        own: &std::ops::Range<usize>,
+        own: &Own,
         t: usize,
         r: &SharedVec,
         z: &SharedVec,
@@ -2243,23 +2323,28 @@ impl ParallelMStepPcg {
             return;
         }
         // Tail fused into the final phase, before its barrier. SAFETY of
-        // the reads: only own-strip elements of z are touched, and all of
-        // them were written by this worker (ownership is strip ∩ color);
-        // r was finalized before the preconditioner began.
+        // the reads: only owned elements of z are touched, and all of
+        // them were written by this worker (a color phase writes the
+        // worker's slice of that color); r was finalized before the
+        // preconditioner began.
         let tail = || unsafe {
             let zs = z.read();
             let rs = r.read();
             if let Some(p) = p0 {
-                p.write(own.clone()).copy_from_slice(&zs[own.clone()]);
+                for rg in own.iter() {
+                    p.write(rg.clone()).copy_from_slice(&zs[rg]);
+                }
             }
             if let Some(bank) = rz_partials {
-                bank.write_at(t, vecops::dot(&zs[own.clone()], &rs[own.clone()]));
+                bank.write_at(t, own.dot(zs, rs));
             }
         };
         if self.alphas.is_empty() {
             unsafe {
                 let rs = r.read();
-                z.write(own.clone()).copy_from_slice(&rs[own.clone()]);
+                for rg in own.iter() {
+                    z.write(rg.clone()).copy_from_slice(&rs[rg]);
+                }
             }
             tail();
             barrier.wait();
@@ -2272,21 +2357,18 @@ impl ParallelMStepPcg {
             let first_step = s == 1;
             let last_step = s == m;
             // Forward pass: one barrier per color. Within a color phase,
-            // each row is written by exactly one worker (own ∩ color) and
-            // reads only other colors (finalized) — the multicolor
-            // guarantee. In the first step the upper half-sums are
-            // structurally zero (fused `w₀ = 0` start), so the stale `y`
-            // cache is never read.
+            // each row is written by exactly one worker (its slice of the
+            // color) and reads only other colors (finalized) — the
+            // multicolor guarantee. In the first step the upper half-sums
+            // are structurally zero (fused `w₀ = 0` start), so the stale
+            // `y` cache is never read.
             for c in 0..nb {
-                let blk = self.colors.range(c);
-                let lo = blk.start.max(own.start);
-                let hi = blk.end.min(own.end);
                 let last = c == nb - 1;
                 unsafe {
                     let rv = r.read();
                     let zv = z.read();
                     let yv = y.read();
-                    for i in lo..hi {
+                    for i in own.blocks[c].clone() {
                         let lower = self.half_sum(i, zv, true);
                         let upper = if last || first_step { 0.0 } else { yv[i] };
                         let xi = (alpha * rv[i] - lower - upper) * self.inv_diag[i];
@@ -2303,14 +2385,11 @@ impl ParallelMStepPcg {
             }
             // Backward pass (skip the idempotent last color at ω = 1).
             for c in (0..nb.saturating_sub(1)).rev() {
-                let blk = self.colors.range(c);
-                let lo = blk.start.max(own.start);
-                let hi = blk.end.min(own.end);
                 unsafe {
                     let rv = r.read();
                     let zv = z.read();
                     let yv = y.read();
-                    for i in lo..hi {
+                    for i in own.blocks[c].clone() {
                         let upper = self.half_sum(i, zv, false);
                         let lower = yv[i];
                         let xi = (alpha * rv[i] - lower - upper) * self.inv_diag[i];
@@ -2332,31 +2411,31 @@ impl ParallelMStepPcg {
     ///
     /// Phase 1 folds the recurrence seed (`z₀ = s₀·D⁻¹r`, `d₀ = z₀`) into
     /// the first SpMV: `K·z₀` is accumulated on the fly from the input
-    /// `r` — a cross-strip read, which every call site guarantees is
+    /// `r` — a cross-worker read, which every call site guarantees is
     /// separated from the last write of `r` by a barrier (the sweep
-    /// msolve reads `r` own-strip only, so the pipelined schedule and the
-    /// restart path insert one extra barrier for the polynomial — counted
-    /// in the pinned formulas). Each phase then applies one difference
-    /// step own-strip — the `vecops::poly_step_chunk` arithmetic, term
-    /// for term, so the chain is bitwise identical to the serial
+    /// msolve reads `r` at owned rows only, so the pipelined schedule and
+    /// the restart path insert one extra barrier for the polynomial —
+    /// counted in the pinned formulas). Each phase then applies one
+    /// difference step at the owned rows — the `vecops::poly_step_chunk`
+    /// arithmetic, term for term, so the chain is bitwise identical to the serial
     /// [`mspcg_core::PolynomialPreconditioner`] on identical inputs.
     ///
     /// The iterate banks alternate between the caller's `z` and the
     /// scratch bank `zb`, phased so the **final** step lands in the
     /// caller's vector (`z` is written by phase `j` iff `k − j` is even).
-    /// A phase's SpMV reads the previous phase's bank cross-strip; the
+    /// A phase's SpMV reads the previous phase's bank cross-worker; the
     /// next write of that bank is separated from those reads by the
     /// intervening phase barrier — the same two-bank discipline as the
     /// pipelined schedule's parity rotation. The difference carry `d` and
-    /// the `K·z` strip (parked in the SSOR half-sum cache `y`, which the
-    /// polynomial path never touches) are own-strip only. The `(z, r)`
+    /// `K·z` (parked in the SSOR half-sum cache `y`, which the polynomial
+    /// path never touches) are touched at owned rows only. The `(z, r)`
     /// partial and the init `p⁰ ← z` copy fuse into the final phase
     /// before its barrier, exactly like the sweep tail.
     #[allow(clippy::too_many_arguments)]
     fn poly_msolve_phases(
         &self,
         poly: &ParPoly,
-        own: &std::ops::Range<usize>,
+        own: &Own,
         t: usize,
         r: &SharedVec,
         z: &SharedVec,
@@ -2375,55 +2454,60 @@ impl ParallelMStepPcg {
             let to_z = (k - j).is_multiple_of(2);
             unsafe {
                 let rv = r.read();
-                let kz = y.write(own.clone());
-                if j == 1 {
-                    // kz = K·z₀ with z₀ = scale₀·D⁻¹r formed on the fly
-                    // (the same expression as the seed below, so the
-                    // virtual z₀ is consistent across both uses).
-                    for (o, i) in own.clone().enumerate() {
-                        let mut acc = 0.0;
-                        for e in self.row_ptr[i]..self.row_ptr[i + 1] {
-                            let c = self.col_idx[e] as usize;
-                            acc += self.values[e] * (scale0 * self.inv_diag[c] * rv[c]);
+                for rg in own.iter() {
+                    let kz = y.write(rg.clone());
+                    if j == 1 {
+                        // kz = K·z₀ with z₀ = scale₀·D⁻¹r formed on the fly
+                        // (the same expression as the seed below, so the
+                        // virtual z₀ is consistent across both uses).
+                        for (o, i) in rg.clone().enumerate() {
+                            let mut acc = 0.0;
+                            for e in self.row_ptr[i]..self.row_ptr[i + 1] {
+                                let c = self.col_idx[e] as usize;
+                                acc += self.values[e] * (scale0 * self.inv_diag[c] * rv[c]);
+                            }
+                            kz[o] = acc;
                         }
-                        kz[o] = acc;
+                    } else {
+                        let prev = if to_z { zb.read() } else { z.read() };
+                        self.spmv_rows(prev, kz, rg.clone());
                     }
-                } else {
-                    let prev = if to_z { zb.read() } else { z.read() };
-                    self.strip_spmv(prev, kz, own.clone());
-                }
-                let dv = d.write(own.clone());
-                let out = if to_z {
-                    z.write(own.clone())
-                } else {
-                    zb.write(own.clone())
-                };
-                if j == 1 {
-                    // Seed and first step in one own-strip pass.
-                    for (o, i) in own.clone().enumerate() {
-                        let zi = scale0 * self.inv_diag[i] * rv[i];
-                        let resid = self.inv_diag[i] * (rv[i] - kz[o]);
-                        let di = aj * zi + bj * resid;
-                        dv[o] = di;
-                        out[o] = zi + di;
-                    }
-                } else {
-                    let prev = if to_z { zb.read() } else { z.read() };
-                    for (o, i) in own.clone().enumerate() {
-                        let resid = self.inv_diag[i] * (rv[i] - kz[o]);
-                        let di = aj * dv[o] + bj * resid;
-                        dv[o] = di;
-                        out[o] = prev[i] + di;
+                    let dv = d.write(rg.clone());
+                    let out = if to_z {
+                        z.write(rg.clone())
+                    } else {
+                        zb.write(rg.clone())
+                    };
+                    if j == 1 {
+                        // Seed and first step in one pass over the rows.
+                        for (o, i) in rg.enumerate() {
+                            let zi = scale0 * self.inv_diag[i] * rv[i];
+                            let resid = self.inv_diag[i] * (rv[i] - kz[o]);
+                            let di = aj * zi + bj * resid;
+                            dv[o] = di;
+                            out[o] = zi + di;
+                        }
+                    } else {
+                        let prev = if to_z { zb.read() } else { z.read() };
+                        for (o, i) in rg.enumerate() {
+                            let resid = self.inv_diag[i] * (rv[i] - kz[o]);
+                            let di = aj * dv[o] + bj * resid;
+                            dv[o] = di;
+                            out[o] = prev[i] + di;
+                        }
                     }
                 }
                 if j == k {
-                    // Fused tail: z was fully written own-strip above.
+                    // Fused tail: z was fully written at the owned rows
+                    // above.
                     let zs = z.read();
                     if let Some(p) = p0 {
-                        p.write(own.clone()).copy_from_slice(&zs[own.clone()]);
+                        for rg in own.iter() {
+                            p.write(rg.clone()).copy_from_slice(&zs[rg]);
+                        }
                     }
                     if let Some(bank) = rz_partials {
-                        bank.write_at(t, vecops::dot(&zs[own.clone()], &rv[own.clone()]));
+                        bank.write_at(t, own.dot(zs, rv));
                     }
                 }
             }
@@ -2489,7 +2573,7 @@ impl ParallelMStepPcg {
     ///    safeguarded like the polynomial preconditioner's estimate) on
     ///    `M⁻¹K` in the `M` inner product, where it is self-adjoint
     ///    ([`lanczos_extremes_preconditioned`] with `K` applied by
-    ///    [`ParallelMStepPcg::strip_spmv`] and `M⁻¹` by the
+    ///    [`ParallelMStepPcg::spmv_rows`] and `M⁻¹` by the
     ///    [`ParallelMStepPcg::serial_msolve`] replica, so the probed
     ///    operator is bitwise the workers'), or on `K` itself for plain
     ///    CG. A snug bracket on `M⁻¹K` keeps the Chebyshev basis
@@ -2507,7 +2591,7 @@ impl ParallelMStepPcg {
             return Ok(*cached);
         }
         let n = self.dim();
-        let spmv = |x: &[f64], out: &mut [f64]| self.strip_spmv(x, out, 0..n);
+        let spmv = |x: &[f64], out: &mut [f64]| self.spmv_rows(x, out, 0..n);
         let est = if self.alphas.is_empty() {
             lanczos_extremes(n, SSTEP_SPECTRUM_STEPS, SSTEP_SPECTRUM_SEED, spmv)?
         } else {
@@ -2605,25 +2689,29 @@ fn small_cholesky_solve(l: &[f64], s: usize, cols: usize, b: &mut [f64]) {
     }
 }
 
-/// The fault the strip owning `index` must inject at `(target,
-/// iteration)`, if any. Every worker evaluates the same replicated
-/// lookup; only the owner acts (SpMV faults are applied to the owner's
-/// freshly written strip before its fused partial, so no extra barrier
-/// is needed).
-fn claim_fault(
+/// Apply the SpMV fault planned at `iteration` to `out`, the freshly
+/// written rows `rows` of an SpMV output, when its index falls in them.
+/// Every worker evaluates the same replicated lookup; only the owner acts,
+/// before it forms its fused partial, so no extra barrier is needed.
+fn inject_spmv_fault(
     plan: Option<&FaultPlan>,
-    target: FaultTarget,
     iteration: usize,
-    own: &std::ops::Range<usize>,
-) -> Option<(usize, FaultKind)> {
-    plan.and_then(|p| p.find(target, iteration))
-        .filter(|fault| own.contains(&fault.index))
-        .map(|fault| (fault.index, fault.kind))
+    rows: &std::ops::Range<usize>,
+    out: &mut [f64],
+) {
+    if let Some(fault) = plan
+        .and_then(|p| p.find(FaultTarget::Spmv, iteration))
+        .filter(|fault| rows.contains(&fault.index))
+    {
+        let k = fault.index - rows.start;
+        out[k] = perturb(out[k], fault.kind);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mspcg_core::recovery::FaultKind;
     use mspcg_core::{pcg_solve, MStepSsorPreconditioner, PcgOptions};
     use mspcg_fem::plate::PlaneStressProblem;
     use mspcg_sparse::CsrMatrix;
@@ -2732,6 +2820,68 @@ mod tests {
         assert_eq!(r1.iterations, r4.iterations);
         for (u, v) in r1.x.iter().zip(&r4.x) {
             assert!((u - v).abs() < 1e-9);
+        }
+    }
+
+    /// Three workers leave uneven slices of every color block, so each
+    /// worker owns up to one non-adjacent range per color: the pipelined
+    /// and s-step schedules must accumulate their partials across the
+    /// ranges and still match one worker.
+    #[test]
+    fn odd_worker_count_matches_one_worker_on_every_schedule() {
+        let (a, colors, rhs) = plate(8);
+        let par = ParallelMStepPcg::new(&a, &colors, vec![1.0; 2]).unwrap();
+        for variant in [PcgVariant::Pipelined, PcgVariant::SStep { s: 4 }] {
+            let r1 = par.solve(&rhs, &variant_opts(variant, 1, 1e-9)).unwrap();
+            let r3 = par.solve(&rhs, &variant_opts(variant, 3, 1e-9)).unwrap();
+            assert_eq!(r3.threads, 3);
+            assert_eq!((r1.variant, r3.variant), (variant, variant));
+            assert_eq!(r1.iterations, r3.iterations, "{variant:?}");
+            for (u, v) in r1.x.iter().zip(&r3.x) {
+                assert!((u - v).abs() < 1e-9, "{u} vs {v} under {variant:?}");
+            }
+        }
+    }
+
+    /// The executor's version of `paper_assignments_have_balanced_colors`
+    /// in `mspcg_machine::assign`: every worker owns `⌊L/T⌋` or `⌈L/T⌉`
+    /// rows of each color block of length `L`, the owned ranges are
+    /// ascending and disjoint and together cover every row once, and one
+    /// worker owns the single range `0..n`.
+    #[test]
+    fn ownership_gives_each_worker_a_balanced_slice_of_every_color() {
+        let plate_colors = plate(128).1;
+        let poisson_colors = mspcg_fem::poisson::poisson5(256)
+            .unwrap()
+            .coloring
+            .ordering()
+            .partition;
+        assert_eq!(plate_colors.num_blocks(), 6);
+        assert_eq!(poisson_colors.num_blocks(), 2);
+        for colors in [&plate_colors, &poisson_colors] {
+            let n = colors.total_len();
+            for threads in [1usize, 2, 3, 4, 8] {
+                let owns = ownership(colors, threads);
+                assert_eq!(owns.len(), threads);
+                assert!(rows_owned_once(&owns, n), "threads = {threads}");
+                for own in &owns {
+                    for (c, blk) in colors.iter().enumerate() {
+                        let share: usize = own
+                            .iter()
+                            .map(|rg| rg.end.min(blk.end).saturating_sub(rg.start.max(blk.start)))
+                            .sum();
+                        let (lo, hi) = (blk.len() / threads, blk.len().div_ceil(threads));
+                        assert!(
+                            (lo..=hi).contains(&share),
+                            "color {c}: {share} rows, threads = {threads}"
+                        );
+                        assert_eq!(own.blocks[c].len(), share, "color {c}");
+                    }
+                }
+                if threads == 1 {
+                    assert_eq!(owns[0].ranges, vec![0..n]);
+                }
+            }
         }
     }
 
@@ -2848,13 +2998,13 @@ mod tests {
     /// * **m ≥ 1 — spin crossings `(I + 2)·sweep`:** init runs TWO
     ///   msolves (`z⁰ = M⁻¹f`, then `mv⁰ = M⁻¹w⁰`) and each iteration
     ///   exactly one. *No other full barrier exists*: the update
-    ///   mega-phase touches own strips only, so its trailing barrier is
+    ///   mega-phase touches owned rows only, so its trailing barrier is
     ///   replaced by the split `arrive`, and the `nv = K·mv` SpMV needs
-    ///   none because `nv` is only ever read own-strip and the `mv` bank
-    ///   it reads cross-strip rotates by parity.
+    ///   none because `nv` is only ever read at owned rows and the `mv`
+    ///   bank it reads cross-worker rotates by parity.
     /// * **m = 0 — spin crossings `I + 1`:** the single full barrier per
     ///   iteration (plus one at init) separates the rotated w-bank write
-    ///   from the cross-strip `K·w` read; there is no preconditioner.
+    ///   from the cross-worker `K·w` read; there is no preconditioner.
     /// * **split crossings `I + 1`:** exactly one reduction in flight per
     ///   iteration (plus init) — `arrive` directly after the update
     ///   phase's partials, `wait` only after the preconditioner + SpMV.
@@ -3024,7 +3174,13 @@ mod tests {
             )
             .unwrap();
         assert!(rep.converged);
-        assert!(rep.threads <= a.rows());
+        // Clamped to the largest color block: a worker beyond it would
+        // own no row in any color phase.
+        assert!(
+            rep.threads <= colors.max_block_len(),
+            "{} workers",
+            rep.threads
+        );
     }
 
     #[test]
@@ -3286,7 +3442,7 @@ mod tests {
     /// per-iteration budgets are the sweep formulas with `sweep → k`,
     /// plus one extra input-finalization barrier per overlap window on
     /// the pipelined schedule (the fused first phase reads its input
-    /// cross-strip where the sweep reads own-strip):
+    /// cross-worker where the sweep reads owned rows only):
     ///
     /// * classic: `k + (I−1)(k+3) + 2` crossings, `2I` reduction phases,
     /// * pipelined: `(I+2)k + I + 1` spin crossings (init `2k+1`, each

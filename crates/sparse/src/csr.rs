@@ -251,7 +251,7 @@ impl CsrMatrix {
 
     /// Serial SpMV over a row range: `y[k] ← (A·x)[rows.start + k]`. The
     /// building block shared by the row-parallel [`CsrMatrix::mul_vec_into`]
-    /// and by `mspcg-parallel`'s SPMD strips.
+    /// and by `mspcg-parallel`'s SPMD workers' owned rows.
     ///
     /// # Panics
     /// Panics if `y.len() != rows.len()` or the range is out of bounds.

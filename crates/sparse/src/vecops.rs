@@ -504,7 +504,7 @@ pub fn fused_xpby_dot(x: &[f64], b: f64, y: &mut [f64], w: &[f64]) -> f64 {
 
 /// One chunk of the polynomial-preconditioner seed and step kernels —
 /// shared by the serial entry points below and by the SPMD solver's
-/// own-strip phases, so both paths run bitwise-identical per-element
+/// owned-row phases, so both paths run bitwise-identical per-element
 /// arithmetic.
 #[inline]
 pub fn poly_seed_chunk(scale: f64, inv_diag: &[f64], r: &[f64], z: &mut [f64], d: &mut [f64]) {
@@ -649,7 +649,7 @@ pub fn fused_poly_step(
 }
 
 /// One chunk of the s-step Chebyshev basis combine — shared by
-/// [`fused_cheb_basis`] and the SPMD solver's own-strip basis phase, so
+/// [`fused_cheb_basis`] and the SPMD solver's owned-row basis phase, so
 /// both paths run bitwise-identical per-element arithmetic.
 #[inline]
 pub fn cheb_basis_chunk(

@@ -99,7 +99,7 @@
 //!   primitive in `mspcg-parallel`) and **consumes** it (`wait`) only
 //!   after the preconditioner + SpMV — the reduction latency hides
 //!   behind the heaviest phase, and the update mega-phase needs *no
-//!   trailing barrier at all* (own-strip analysis + parity-rotated
+//!   trailing barrier at all* (owned-row analysis + parity-rotated
 //!   `mv`/partial banks), which is why the pipelined iteration runs on
 //!   `m·(2C−1)` full barriers where classic needs `+ 3`. Costs: one
 //!   speculative heavy phase on the converging iteration, five extra
